@@ -2,6 +2,7 @@
 
 from .assembler import Asm
 from .emulator import EmulationError, EmulationLimitError, ExecutionTrace, execute
+from .image import MemoryImage
 from .instruction import DynInst, StaticInst
 from .opcodes import FuClass, Opcode, OpInfo, info
 from .program import CODE_BASE, CRITICAL_PREFIX_BYTES, CodeLayout, Program, ProgramError
@@ -18,6 +19,7 @@ __all__ = [
     "ExecutionTrace",
     "FP",
     "FuClass",
+    "MemoryImage",
     "NUM_REGS",
     "Opcode",
     "OpInfo",

@@ -20,6 +20,7 @@ line 31 in the paper).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .instruction import DynInst, StaticInst
@@ -105,7 +106,7 @@ def execute(
     program: Program,
     *,
     regs: dict[int, int] | None = None,
-    memory: dict[int, int] | None = None,
+    memory: Mapping[int, int] | None = None,
     max_insts: int = 5_000_000,
 ) -> ExecutionTrace:
     """Functionally execute ``program`` and return its dynamic trace.
@@ -115,19 +116,22 @@ def execute(
     regs:
         Initial architectural register values, ``{reg_index: value}``.
     memory:
-        Initial memory image keyed by *word* address (byte address >> 3).
-        The dict is not mutated; a copy is used internally.
+        Initial memory image keyed by *word* address (byte address >> 3):
+        a dict or a :class:`~repro.isa.image.MemoryImage`. It is only
+        read, never copied or mutated: stores go to a private overlay that
+        loads consult first.
     max_insts:
         Safety bound on the number of dynamic instructions.
     """
     reg_file = [0] * NUM_REGS
     for idx, value in (regs or {}).items():
         reg_file[idx] = value
-    mem: dict[int, int] = dict(memory or {})
+    image_get = ({} if memory is None else memory).get
+    # Store overlay: word -> (value, seq of the producing store).
+    stores: dict[int, tuple[int, int]] = {}
 
-    # Producer tracking for dependence links.
+    # Producer tracking for register dependence links.
     reg_writer = [-1] * NUM_REGS
-    mem_writer: dict[int, int] = {}
 
     trace: list[DynInst] = []
     exec_counts: dict[int, int] = {}
@@ -184,8 +188,11 @@ def execute(
             else:
                 reg_srcs = (reg_writer[sinst.src1],)
             word = addr >> 3
-            mem_src = mem_writer.get(word, -1)
-            reg_file[sinst.dst] = mem.get(word, 0)
+            stored = stores.get(word)
+            if stored is None:
+                reg_file[sinst.dst] = image_get(word, 0)
+            else:
+                reg_file[sinst.dst], mem_src = stored
             reg_writer[sinst.dst] = seq
         elif op is Opcode.STORE or op is Opcode.STORE_IDX:
             addr = reg_file[sinst.src1] + sinst.imm
@@ -198,9 +205,7 @@ def execute(
                 )
             else:
                 reg_srcs = (reg_writer[sinst.src1], reg_writer[sinst.dst])
-            word = addr >> 3
-            mem[word] = reg_file[sinst.dst]
-            mem_writer[word] = seq
+            stores[addr >> 3] = (reg_file[sinst.dst], seq)
         elif op is Opcode.PREFETCH:
             addr = reg_file[sinst.src1] + sinst.imm
             reg_srcs = (reg_writer[sinst.src1],)

@@ -9,7 +9,6 @@ retry/backoff policy, and graceful SIGTERM drain with resumable
 checkpoints.
 """
 
-from .client import ServeClient, ServeError
 from .jobs import (
     JOB_DONE,
     JOB_DRAINED,
@@ -22,6 +21,18 @@ from .jobs import (
 from .protocol import PRIORITIES, PROTOCOL_VERSION, ProtocolError
 from .server import SimServer
 from .telemetry import ServeStats
+
+
+def __getattr__(name):
+    # The client loads on first use, not with the package: ``python -m
+    # repro.serve.client`` imports this package first, and runpy warns if
+    # the module it is about to run is already in sys.modules.
+    if name in ("ServeClient", "ServeError"):
+        from . import client
+
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "JOB_DONE",

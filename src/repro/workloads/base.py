@@ -23,6 +23,7 @@ Every workload builder accepts:
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..isa.emulator import ExecutionTrace, execute
@@ -86,7 +87,9 @@ class Workload:
 
     name: str
     program: Program
-    memory: dict[int, int]
+    #: Initial memory by word address: a :class:`~repro.isa.MemoryImage`
+    #: from the named builders, a plain dict from workgen and tests.
+    memory: Mapping[int, int]
     regs: dict[int, int] = field(default_factory=dict)
     category: str = "spec"
     description: str = ""

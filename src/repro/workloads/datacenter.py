@@ -18,7 +18,10 @@
 
 from __future__ import annotations
 
+from array import array
+
 from ..isa.assembler import Asm
+from ..isa.image import MemoryImage
 from .base import (
     HEAP,
     HEAP2,
@@ -36,6 +39,7 @@ from .kernels import (
     build_index_array,
     build_offset_cycle,
     emit_reload_burst,
+    random_words,
 )
 
 
@@ -66,7 +70,7 @@ def build_moses(
     the IST").
     """
     rng = variant_rng(variant, salt=20)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     rounds = scaled(11 if is_ref(variant) else 9, scale)
     slots = rounds * blocks + 8
     stride = 320
@@ -78,7 +82,9 @@ def build_moses(
     # The hop is one shared PC (hop_fn), so its share of total misses stays
     # well above Figure 10's T=1% despite the volley's volume.
     table_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=table_entries, value=lambda i: i & 0xFFFF)
+    # Entry i scores i & 0xFFFF: 0..0xFFFF, repeated.
+    scores = array("q", range(1 << 16)) * (table_entries >> 16)
+    build_array(memory, base=TABLE, values=scores)
     build_index_array(
         memory, rng, base=HEAP3, num_entries=slots * gathers_per_block,
         target_entries=table_entries,
@@ -151,22 +157,26 @@ REGISTRY.register("moses", "datacenter", build_moses, "phrase-lattice walk, long
 def build_memcached(variant: str = "ref", scale: float = 1.0) -> Workload:
     """GET-request loop: hash -> bucket probe -> chain hop -> value burst."""
     rng = variant_rng(variant, salt=21)
-    memory: dict[int, int] = {}
     requests = scaled(640 if is_ref(variant) else 520, scale)
     num_buckets = 1 << 18  # 2 MiB bucket array of node indices
     node_slots = 1 << 15
     node_stride = 192
-    for v in range(node_slots):
-        addr = HEAP + v * node_stride
-        memory[addr >> 3] = rng.randrange(node_slots)  # next node index
-        memory[(addr + 8) >> 3] = rng.randrange(1 << 14)  # stored key
-        memory[(addr + 16) >> 3] = rng.randrange(1 << 12)  # value word 0
-        memory[(addr + 24) >> 3] = rng.randrange(1 << 12)  # value word 1
-    build_array(
-        memory, base=TABLE, num_words=num_buckets, value=lambda i: rng.randrange(node_slots)
-    )
+    # Node words, drawn node by node: next node index (< 2^15), stored key
+    # (< 2^14), value words 0 and 1 (< 2^12 each). Every bound is a power
+    # of two, and randrange(2^m) takes the first 32-bit word whose top bit
+    # is clear and returns the m bits below it -- so one stream of such
+    # words (random_words below 2^31) serves all four fields in turn.
+    draws = random_words(rng, 4 * node_slots, 0, 1 << 31)
+    nodes: dict[int, int] = {}
+    for field, bits in enumerate((15, 14, 12, 12)):
+        words = range(
+            (HEAP >> 3) + field, (HEAP + node_slots * node_stride) >> 3, node_stride >> 3
+        )
+        nodes.update(zip(words, (d >> (31 - bits) for d in draws[field::4])))
+    memory = MemoryImage(nodes)
+    build_array(memory, base=TABLE, values=random_words(rng, num_buckets, 0, node_slots))
     out_base = 0x6000_0000
-    build_array(memory, base=out_base, num_words=16, value=lambda i: i + 1)
+    build_array(memory, base=out_base, values=range(1, 17))
 
     a = Asm()
     a.movi("sp", STACK)
@@ -233,15 +243,15 @@ REGISTRY.register("memcached", "datacenter", build_memcached, "hash-table GET re
 def build_img_dnn(variant: str = "ref", scale: float = 1.0, *, tile: int = 12) -> Workload:
     """Handwriting-recognition analogue: dense dot products + few gathers."""
     rng = variant_rng(variant, salt=22)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     rows = scaled(520 if is_ref(variant) else 420, scale)
-    build_array(memory, base=HEAP, num_words=rows * tile + tile, value=lambda i: rng.randrange(1, 255))
-    build_array(memory, base=HEAP2, num_words=tile, value=lambda i: rng.randrange(1, 255))
+    build_array(memory, base=HEAP, values=random_words(rng, rows * tile + tile, 1, 255))
+    build_array(memory, base=HEAP2, values=random_words(rng, tile, 1, 255))
     # 256 KiB embedding table: LLC-resident after warm-up, so the gathers'
     # miss rate stays below the 20% delinquency bar -- img-dnn is
     # compute-bound and CRISP correctly leaves it alone.
     emb_entries = 1 << 15
-    build_array(memory, base=TABLE, num_words=emb_entries, value=lambda i: rng.randrange(1, 1 << 10))
+    build_array(memory, base=TABLE, values=random_words(rng, emb_entries, 1, 1 << 10))
     build_index_array(memory, rng, base=HEAP3, num_entries=rows * 2, target_entries=emb_entries)
 
     a = Asm()

@@ -12,6 +12,7 @@ divider.
 from __future__ import annotations
 
 from ..isa.assembler import Asm
+from ..isa.image import MemoryImage
 from .base import HEAP, REGISTRY, STACK, Workload, is_ref, scaled, variant_rng
 from .kernels import build_array
 
@@ -20,9 +21,9 @@ def build_div_chain(
     variant: str = "ref", scale: float = 1.0, *, burst: int = 36
 ) -> Workload:
     rng = variant_rng(variant, salt=30)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     iters = scaled(900 if is_ref(variant) else 740, scale)
-    build_array(memory, base=HEAP, num_words=16, value=lambda i: i + 2)
+    build_array(memory, base=HEAP, values=range(2, 18))
 
     a = Asm()
     a.movi("sp", STACK)

@@ -21,29 +21,25 @@ EXPERIMENTS.md for the deviation discussion.)
 from __future__ import annotations
 
 from ..isa.assembler import Asm
+from ..isa.image import MemoryImage
 from .base import HEAP, HEAP2, HEAP3, REGISTRY, STACK, TABLE, Workload, is_ref, scaled, variant_rng
-from .kernels import build_array, build_index_array, emit_reload_burst
+from .kernels import build_array, build_index_array, emit_reload_burst, random_words
 
 
 def build_xhpcg(
     variant: str = "ref", scale: float = 1.0, *, gathers_per_row: int = 6
 ) -> Workload:
     rng = variant_rng(variant, salt=13)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     rows = scaled(380 if is_ref(variant) else 310, scale)
     x_entries = 1 << 18  # 2 MiB vector: gathers miss
-    build_array(
-        memory, base=TABLE, num_words=x_entries, value=lambda i: rng.randrange(x_entries)
-    )
+    build_array(memory, base=TABLE, values=random_words(rng, x_entries, 0, x_entries))
     build_index_array(
         memory, rng, base=HEAP, num_entries=rows * gathers_per_row, target_entries=x_entries
     )
-    build_array(
-        memory, base=HEAP2, num_words=rows * gathers_per_row,
-        value=lambda i: rng.randrange(1, 1 << 8),
-    )
+    build_array(memory, base=HEAP2, values=random_words(rng, rows * gathers_per_row, 1, 1 << 8))
     out = 0x6000_0000
-    build_array(memory, base=out, num_words=16, value=lambda i: i + 1)
+    build_array(memory, base=out, values=range(1, 17))
 
     a = Asm()
     a.movi("sp", STACK)

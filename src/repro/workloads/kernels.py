@@ -11,12 +11,51 @@ property of the "hard-to-prefetch" loads CRISP targets.
 from __future__ import annotations
 
 import random
+from array import array
+from collections.abc import Iterable
 
 from ..isa.assembler import Asm
+from ..isa.image import MemoryImage
+
+
+def random_words(rng: random.Random, count: int, lo: int, hi: int) -> array:
+    """``count`` draws of ``rng.randrange(lo, hi)``, made in bulk.
+
+    Returns exactly ``[rng.randrange(lo, hi) for _ in range(count)]`` as an
+    ``array('q')`` and leaves ``rng`` in the same state as that loop. It
+    replays CPython's ``_randbelow``: with ``n = hi - lo`` and
+    ``k = n.bit_length()``, each draw takes one 32-bit Mersenne Twister
+    word, keeps ``word >> (32 - k)`` if it is below ``n`` and otherwise
+    draws again. Each round asks ``getrandbits`` for as many words as
+    values are still missing and applies the shift-and-reject test to all
+    of them at once; a word yields at most one value, so the rounds consume
+    exactly the words the loop would. Ranges wider than 32 bits
+    (``getrandbits`` then spends several words per draw) take the loop.
+    The range must be non-empty and hold only signed 64-bit values.
+    """
+    if not -(1 << 63) <= lo < hi <= 1 << 63:
+        raise ValueError(f"random_words needs a non-empty int64 range, not [{lo}, {hi})")
+    n = hi - lo
+    k = n.bit_length()
+    if k > 32:
+        return array("q", [rng.randrange(lo, hi) for _ in range(count)])
+    import numpy as np  # deferred: keeps numpy off the CLI startup path
+
+    out = np.empty(count, dtype=np.int64)
+    got = 0
+    while got < count:
+        need = count - got
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        drawn = np.frombuffer(raw, dtype="<u4") >> (32 - k)
+        kept = drawn[drawn < n]
+        out[got : got + len(kept)] = kept
+        got += len(kept)
+    out += lo
+    return array("q", out.tobytes())
 
 
 def build_linked_list(
-    memory: dict[int, int],
+    memory: MemoryImage,
     rng: random.Random,
     *,
     base: int,
@@ -42,7 +81,7 @@ def build_linked_list(
 
 
 def build_offset_cycle(
-    memory: dict[int, int],
+    memory: MemoryImage,
     rng: random.Random,
     *,
     base: int,
@@ -73,20 +112,13 @@ def build_offset_cycle(
     return order
 
 
-def build_array(
-    memory: dict[int, int],
-    *,
-    base: int,
-    num_words: int,
-    value=lambda i: 0,
-) -> None:
-    """Initialise a dense array of 8-byte words at ``base``."""
-    for i in range(num_words):
-        memory[(base + 8 * i) >> 3] = value(i)
+def build_array(memory: MemoryImage, *, base: int, values: Iterable[int]) -> None:
+    """Lay ``values`` out as a dense array of 8-byte words at ``base``."""
+    memory.fill(base >> 3, values)
 
 
 def build_index_array(
-    memory: dict[int, int],
+    memory: MemoryImage,
     rng: random.Random,
     *,
     base: int,
@@ -94,42 +126,7 @@ def build_index_array(
     target_entries: int,
 ) -> None:
     """Random permutation-ish index array for A[B[i]] gather patterns."""
-    for i in range(num_entries):
-        memory[(base + 8 * i) >> 3] = rng.randrange(target_entries)
-
-
-def build_hash_buckets(
-    memory: dict[int, int],
-    rng: random.Random,
-    *,
-    bucket_base: int,
-    num_buckets: int,
-    node_base: int,
-    num_nodes: int,
-    node_stride: int = 128,
-    chain_length: int = 2,
-    value_words: int = 1,
-) -> None:
-    """Hash table: bucket array of head pointers + randomly placed chain nodes."""
-    slots = list(range(num_nodes))
-    rng.shuffle(slots)
-    addrs = [node_base + slot * node_stride for slot in slots]
-    next_node = 0
-    for b in range(num_buckets):
-        head = 0
-        links = min(chain_length, num_nodes - next_node)
-        chain = []
-        for _ in range(links):
-            chain.append(addrs[next_node])
-            next_node += 1
-        for i, addr in enumerate(chain):
-            memory[addr >> 3] = chain[i + 1] if i + 1 < len(chain) else 0
-            for w in range(value_words):
-                memory[(addr + 8 * (w + 1)) >> 3] = rng.randrange(1, 1 << 16)
-        head = chain[0] if chain else 0
-        memory[(bucket_base + 8 * b) >> 3] = head
-        if next_node >= num_nodes:
-            next_node = 0
+    build_array(memory, base=base, values=random_words(rng, num_entries, 0, target_entries))
 
 
 def emit_spill(asm: Asm, value_reg: str, slot: int) -> None:

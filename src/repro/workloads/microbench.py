@@ -22,6 +22,7 @@ authors' Xeon; the same jump in shape here).
 from __future__ import annotations
 
 from ..isa.assembler import Asm
+from ..isa.image import MemoryImage
 from .base import HEAP, HEAP2, REGISTRY, STACK, Workload, is_ref, scaled, variant_rng
 from .kernels import build_array, build_linked_list
 
@@ -36,13 +37,13 @@ def build_pointer_chase(
 ) -> Workload:
     """Build the microbenchmark; see module docstring."""
     rng = variant_rng(variant, salt=0xF16)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     if num_nodes is None:
         num_nodes = scaled(500 if is_ref(variant) else 400, scale)
     node_addrs = build_linked_list(
         memory, rng, base=HEAP, num_nodes=num_nodes, node_stride=256, value_words=1
     )
-    build_array(memory, base=HEAP2, num_words=vec_size, value=lambda i: i + 1)
+    build_array(memory, base=HEAP2, values=range(1, vec_size + 1))
 
     a = Asm()
     a.movi("sp", STACK)

@@ -42,6 +42,7 @@ immediately.
 from __future__ import annotations
 
 from ..isa.assembler import Asm
+from ..isa.image import MemoryImage
 from .base import (
     HEAP,
     HEAP2,
@@ -60,11 +61,12 @@ from .kernels import (
     build_offset_cycle,
     emit_dispatch_tree,
     emit_reload_burst,
+    random_words,
 )
 
 
-def _out_array(memory: dict[int, int], base: int = 0x6000_0000, words: int = 16) -> int:
-    build_array(memory, base=base, num_words=words, value=lambda i: i + 1)
+def _out_array(memory: MemoryImage, base: int = 0x6000_0000, words: int = 16) -> int:
+    build_array(memory, base=base, values=range(1, words + 1))
     return base
 
 
@@ -80,7 +82,7 @@ def build_mcf(variant: str = "ref", scale: float = 1.0) -> Workload:
     cost per term. Two chains overlap their misses (MLP 2).
     """
     rng = variant_rng(variant, salt=1)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     iters = scaled(330 if is_ref(variant) else 270, scale)
     stride = 320
     starts = []
@@ -138,7 +140,7 @@ REGISTRY.register("mcf", "spec", build_mcf, "dual index-linked arc chase + cost 
 def build_omnetpp(variant: str = "ref", scale: float = 1.0) -> Workload:
     """Discrete-event simulation analogue: streamed handles, two random hops."""
     rng = variant_rng(variant, salt=2)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     events = scaled(620 if is_ref(variant) else 500, scale)
     stride = 256
     # Event records at base + index*stride; word 0 schedules the successor
@@ -211,9 +213,9 @@ def build_lbm(variant: str = "ref", scale: float = 1.0) -> Workload:
     forward (Section 5.3).
     """
     rng = variant_rng(variant, salt=3)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     cells = scaled(1500 if is_ref(variant) else 1250, scale)
-    build_array(memory, base=HEAP, num_words=cells * 3 + 8, value=lambda i: rng.randrange(1, 255))
+    build_array(memory, base=HEAP, values=random_words(rng, cells * 3 + 8, 1, 255))
 
     a = Asm()
     a.movi("r10", HEAP)
@@ -273,9 +275,9 @@ def build_deepsjeng(variant: str = "ref", scale: float = 1.0) -> Workload:
     burst. Branch slices alone give >3% here (Figure 8).
     """
     rng = variant_rng(variant, salt=4)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     tt_entries = 1 << 18  # 2 MiB transposition table
-    build_array(memory, base=TABLE, num_words=tt_entries, value=lambda i: rng.randrange(1 << 14))
+    build_array(memory, base=TABLE, values=random_words(rng, tt_entries, 0, 1 << 14))
     nodes = scaled(640 if is_ref(variant) else 520, scale)
     out = _out_array(memory)
 
@@ -337,11 +339,11 @@ def build_perlbench(
 ) -> Workload:
     """Interpreter analogue: hard bytecode dispatch + symbol-table probes."""
     rng = variant_rng(variant, salt=5)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     prog_len = scaled(1500 if is_ref(variant) else 1250, scale)
     build_index_array(memory, rng, base=HEAP, num_entries=prog_len, target_entries=num_ops)
     ht_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=ht_entries, value=lambda i: rng.randrange(1 << 12))
+    build_array(memory, base=TABLE, values=random_words(rng, ht_entries, 0, 1 << 12))
     out = _out_array(memory)
 
     a = Asm()
@@ -403,7 +405,7 @@ def build_gcc(
 ) -> Workload:
     """Compiler-IR analogue: index-linked IR walk + per-kind transforms."""
     rng = variant_rng(variant, salt=6)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     nodes = scaled(560 if is_ref(variant) else 460, scale)
     stride = 320
     order = build_offset_cycle(
@@ -476,11 +478,11 @@ def build_bwaves(variant: str = "ref", scale: float = 1.0) -> Workload:
     loads" failure of Section 5.2.
     """
     rng = variant_rng(variant, salt=7)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     grid = scaled(1800 if is_ref(variant) else 1500, scale)
-    build_array(memory, base=HEAP, num_words=grid + 16, value=lambda i: rng.randrange(1, 1 << 10))
+    build_array(memory, base=HEAP, values=random_words(rng, grid + 16, 1, 1 << 10))
     gather_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=gather_entries, value=lambda i: rng.randrange(1 << 10))
+    build_array(memory, base=TABLE, values=random_words(rng, gather_entries, 0, 1 << 10))
     build_index_array(memory, rng, base=HEAP2, num_entries=grid, target_entries=gather_entries)
 
     a = Asm()
@@ -536,11 +538,11 @@ def build_cactus(variant: str = "ref", scale: float = 1.0) -> Workload:
     combination exceeds either alone (Figure 8 synergy set).
     """
     rng = variant_rng(variant, salt=8)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     cells = scaled(900 if is_ref(variant) else 740, scale)
-    build_array(memory, base=HEAP, num_words=cells + 8, value=lambda i: rng.randrange(1 << 16))
+    build_array(memory, base=HEAP, values=random_words(rng, cells + 8, 0, 1 << 16))
     coeff_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=coeff_entries, value=lambda i: rng.randrange(1, 1 << 10))
+    build_array(memory, base=TABLE, values=random_words(rng, coeff_entries, 1, 1 << 10))
     out = _out_array(memory)
 
     a = Asm()
@@ -596,13 +598,11 @@ REGISTRY.register("cactus", "spec", build_cactus, "stencil + value-dependent gat
 def build_fotonik(variant: str = "ref", scale: float = 1.0) -> Workload:
     """FDTD analogue: chained A[B[i]] gathers linked through a stack spill."""
     rng = variant_rng(variant, salt=9)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     n = scaled(800 if is_ref(variant) else 660, scale)
     field_entries = 1 << 18
-    build_array(
-        memory, base=TABLE, num_words=field_entries, value=lambda i: rng.randrange(field_entries)
-    )
-    build_array(memory, base=HEAP3, num_words=field_entries, value=lambda i: rng.randrange(1 << 10))
+    build_array(memory, base=TABLE, values=random_words(rng, field_entries, 0, field_entries))
+    build_array(memory, base=HEAP3, values=random_words(rng, field_entries, 0, 1 << 10))
     build_index_array(memory, rng, base=HEAP, num_entries=n, target_entries=field_entries)
     out = _out_array(memory)
 
@@ -654,10 +654,10 @@ REGISTRY.register("fotonik", "spec", build_fotonik, "chained gathers through a s
 
 def _build_md(name: str, salt: int, variant: str, scale: float, *, through_memory: bool) -> Workload:
     rng = variant_rng(variant, salt=salt)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     pairs = scaled(800 if is_ref(variant) else 660, scale)
     pos_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=pos_entries, value=lambda i: rng.randrange(1, 1 << 10))
+    build_array(memory, base=TABLE, values=random_words(rng, pos_entries, 1, 1 << 10))
     build_index_array(memory, rng, base=HEAP, num_entries=pairs, target_entries=pos_entries)
     out = _out_array(memory)
 
@@ -736,12 +736,12 @@ REGISTRY.register("namd", "spec", build_namd, "MD gathers with slices through th
 def build_xz(variant: str = "ref", scale: float = 1.0) -> Workload:
     """LZMA match-finder analogue: hash-chain probes over a history window."""
     rng = variant_rng(variant, salt=12)
-    memory: dict[int, int] = {}
+    memory = MemoryImage()
     steps = scaled(700 if is_ref(variant) else 580, scale)
     window = 1 << 14
-    build_array(memory, base=HEAP, num_words=window, value=lambda i: rng.randrange(256))
+    build_array(memory, base=HEAP, values=random_words(rng, window, 0, 256))
     hash_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=hash_entries, value=lambda i: rng.randrange(window))
+    build_array(memory, base=TABLE, values=random_words(rng, hash_entries, 0, window))
     out = _out_array(memory)
 
     a = Asm()
