@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--engine", choices=("obj", "array"), default=None,
         help="cycle-model implementation (docs/ENGINE.md); default: "
-        "REPRO_ENGINE env var, then 'obj' -- results are identical",
+        "REPRO_ENGINE env var, then 'array' -- results are identical",
     )
     p.add_argument(
         "--trace",

@@ -117,14 +117,20 @@ def run_crisp_flow(
     core_config: CoreConfig | None = None,
     scale: float = 1.0,
     train_workload: Workload | None = None,
+    engine: str | None = None,
 ) -> CrispResult:
-    """Run the full Figure 5 software flow on a workload's *train* input."""
+    """Run the full Figure 5 software flow on a workload's *train* input.
+
+    ``engine`` picks the cycle model that runs the step-1 profile (see
+    :func:`~repro.sim.simulator.resolve_engine`); both engines give the
+    same profile, so the annotation does not depend on it.
+    """
     config = config or CrispConfig()
     train = train_workload or REGISTRY.build(workload_name, variant="train", scale=scale)
 
     # Step 1: profile on the baseline core.
     indexed = IndexedTrace(train.trace())
-    profile, _ = profile_workload(train, core_config, trace=indexed)
+    profile, _ = profile_workload(train, core_config, trace=indexed, engine=engine)
 
     # Step 2: classify delinquent loads and hard branches. Address streams
     # from the trace feed the "not a constant or stride" criterion.

@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass, field
 
 from ..uarch.config import CoreConfig
-from ..uarch.pipeline import Pipeline
 from ..uarch.stats import PcBranchStats, PcLoadStats, SimStats
 from ..workloads.base import Workload
 from .tracer import IndexedTrace
@@ -81,17 +80,21 @@ def profile_workload(
     config: CoreConfig | None = None,
     *,
     trace: IndexedTrace | None = None,
+    engine: str | None = None,
 ) -> tuple[ProfileReport, SimStats]:
     """Run the baseline core over ``workload`` and distil a profile.
 
     The profiling configuration is always the *baseline* scheduler: the
     paper profiles unmodified binaries on unmodified hardware (Figure 5
-    step 1) before any annotation exists.
+    step 1) before any annotation exists. ``engine`` picks the cycle-model
+    implementation as in :func:`~repro.sim.simulator.simulate`; the
+    profile is identical either way.
     """
+    from ..sim.simulator import pipeline_class
+
     config = (config or CoreConfig.skylake()).with_scheduler("oldest_first")
     indexed = trace or IndexedTrace(workload.trace())
-    pipeline = Pipeline(indexed.trace, config)
-    stats = pipeline.run()
+    stats = pipeline_class(engine)(indexed.trace, config).run()
     report = ProfileReport(
         workload_name=workload.name,
         variant=workload.variant,

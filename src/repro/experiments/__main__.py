@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument(
         "--engine", choices=("obj", "array"), default=None,
         help="cycle-model implementation for every cell (docs/ENGINE.md); "
-        "default: REPRO_ENGINE env var, then 'obj' -- results are identical",
+        "default: REPRO_ENGINE env var, then 'array' -- results are identical",
     )
     sweep = parser.add_argument_group("sweep options")
     sweep.add_argument(

@@ -67,7 +67,7 @@ class CoRunResult:
         return part.retired / part.cycles if part.cycles else 0.0
 
 
-def _core_annotation(task, *, config, scale):
+def _core_annotation(task, *, config, scale, engine):
     """Resolve one core's CRISP annotation (explicit, or FDO-derived)."""
     if task.mode != "crisp":
         return frozenset()
@@ -76,7 +76,8 @@ def _core_annotation(task, *, config, scale):
     from ..core.fdo import run_crisp_flow
 
     flow = run_crisp_flow(
-        task.workload, task.crisp_config, core_config=config, scale=scale
+        task.workload, task.crisp_config, core_config=config, scale=scale,
+        engine=engine,
     )
     return flow.critical_pcs
 
@@ -119,7 +120,7 @@ def run_corun(
     pipes = []
     annotations: list[tuple[int, ...]] = []
     for idx, task in enumerate(spec.cores):
-        critical = _core_annotation(task, config=base, scale=scale)
+        critical = _core_annotation(task, config=base, scale=scale, engine=engine)
         core_config, used, ibda = resolve_mode(task.mode, base, critical)
         if task.prefetchers is not None:
             core_config = replace(

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument(
         "--engine", choices=("obj", "array"), default=None,
         help="cycle-model implementation (docs/ENGINE.md); default: "
-        "REPRO_ENGINE env var, then 'obj' -- results are identical",
+        "REPRO_ENGINE env var, then 'array' -- results are identical",
     )
     run_p.set_defaults(func=cmd_run)
 

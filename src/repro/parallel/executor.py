@@ -197,6 +197,7 @@ def run_cell_spec(spec: CellSpec) -> dict:
                 spec.crisp_config,
                 core_config=config,
                 scale=spec.scale,
+                engine=spec.engine,
             )
             critical = flow.critical_pcs
 

@@ -54,6 +54,7 @@ def expand_spec(spec: CellSpec, plan: SamplingPlan) -> tuple[list[Interval], lis
             spec.crisp_config,
             core_config=spec.core_config(),
             scale=spec.scale,
+            engine=spec.engine,
         )
         critical = tuple(sorted(flow.critical_pcs))
     intervals = plan_for_trace(plan, trace)

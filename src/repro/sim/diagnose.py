@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from ..core.fdo import CrispResult, run_crisp_flow
 from ..telemetry.registry import StatsRegistry
 from ..uarch.config import CoreConfig
-from ..uarch.pipeline import Pipeline
 from ..workloads.base import REGISTRY, Workload
+from .simulator import pipeline_class
 
 
 @dataclass
@@ -88,7 +88,7 @@ def diagnose(
     trace = workload.trace()
     out: dict[str, DiagnosisRun] = {}
     for scheduler in ("oldest_first", "crisp"):
-        pipeline = Pipeline(
+        pipeline = pipeline_class()(
             trace,
             config.with_scheduler(scheduler),
             critical_pcs=critical_pcs if scheduler == "crisp" else frozenset(),

@@ -36,12 +36,13 @@ def resolve_engine(engine: str | None = None) -> str:
     """Validate ``engine`` and apply the defaulting chain.
 
     ``None`` falls back to the ``REPRO_ENGINE`` environment variable and
-    then to ``"obj"``. The env hook exists so an entire test suite or CI
-    leg can be flipped to the array engine without threading a flag
-    through every call site (``REPRO_ENGINE=array python -m pytest``).
+    then to ``"array"``. The env hook exists so an entire test suite or CI
+    leg can be flipped back to the object engine, the semantics oracle,
+    without threading a flag through every call site
+    (``REPRO_ENGINE=obj python -m pytest``).
     """
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "obj"
+        engine = os.environ.get("REPRO_ENGINE") or "array"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     return engine
@@ -138,7 +139,7 @@ def simulate(
     a crash bundle there (shorthand for a watchdog with that directory).
 
     ``engine`` picks the cycle-model implementation (``"obj"``/``"array"``,
-    default from ``REPRO_ENGINE`` then ``"obj"``); results are identical
+    default from ``REPRO_ENGINE`` then ``"array"``); results are identical
     either way — see docs/ENGINE.md for the equivalence contract.
     """
     config, used, ibda = resolve_mode(mode, config, critical_pcs)

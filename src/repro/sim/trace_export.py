@@ -17,8 +17,8 @@ import io
 from dataclasses import dataclass
 
 from ..uarch.config import CoreConfig
-from ..uarch.pipeline import Pipeline
 from ..workloads.base import Workload
+from .simulator import pipeline_class
 
 FIELDS = ("seq", "pc", "opcode", "critical", "dispatch", "ready", "issue", "delay")
 
@@ -55,7 +55,8 @@ def collect_timing(
     """
     config = (config or CoreConfig.skylake()).with_scheduler(scheduler)
     trace = workload.trace()
-    pipeline = Pipeline(trace, config, critical_pcs=critical_pcs, record_timing=True)
+    pipeline = pipeline_class()(
+        trace, config, critical_pcs=critical_pcs, record_timing=True)
     pipeline.run()
     end = len(trace) if limit is None else min(len(trace), start + limit)
     rows = []

@@ -40,6 +40,7 @@ checker, a crash bundle, or end-of-run telemetry needs to observe them.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from itertools import accumulate, compress
 
@@ -122,8 +123,9 @@ class ArrayPipeline(Pipeline):
                 run_end_a[s] = s + 1
         # Dispatch is in program order, so dynamic code footprint is a
         # prefix sum over fetched sizes — read off at spill time instead of
-        # accumulated per dispatch.
-        csize_a = list(accumulate(map(sizes.__getitem__, pc_a)))
+        # accumulated per dispatch. The prefix-sum tables are only indexed,
+        # so they are packed machine words, not one int object per seq.
+        csize_a = array("q", accumulate(map(sizes.__getitem__, pc_a)))
 
         if self.ibda is None:
             critical = self.critical_pcs
@@ -229,9 +231,9 @@ class ArrayPipeline(Pipeline):
         # Allocation and retirement are both in order, so load/store buffer
         # occupancy is a difference of prefix counts (loads/stores among
         # seqs < i) — no per-dispatch/per-retire counter updates.
-        cload_a = [0]
+        cload_a = array("q", [0])
         cload_a.extend(accumulate(isload_a))
-        cstore_a = [0]
+        cstore_a = array("q", [0])
         cstore_a.extend(accumulate(isstore_a))
         return (pc_a, addr_a, mem_src_a, fu_a, lat_a, flags_a, kind_a,
                 isload_a, isstore_a, brkind_a, producers_a, maxprod_a,
