@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Benchmark the sweep executor: wall-clock, jobs, and cache hit-rate.
 
-Runs the same (workload x mode) sweep twice against one result cache — a
-*cold* pass that simulates every cell and a *warm* pass that should answer
-every cell from the cache — and records both to ``BENCH_sweep.json``:
+Runs the same (workload x mode) ``suite`` experiment twice through
+``repro.orchestrate.execute_run`` against one result cache — a *cold*
+pass that simulates every cell and a *warm* pass that should answer every
+cell from the cache — and records both to ``BENCH_sweep.json``:
 
 ```bash
 PYTHONPATH=src python scripts/bench_sweep.py --workloads mcf,lbm --jobs 4
@@ -50,26 +51,27 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
-def run_pass(workloads, modes, scale, jobs, cache, checkpoint_path):
-    from repro.experiments.runner import SweepRunner
+def run_pass(workloads, modes, scale, jobs, cache, out):
+    """One ``suite`` run into a fresh run dir under ``out``."""
+    from repro.orchestrate import execute_run
+    from repro.orchestrate.experiment import SuiteMatrix
 
-    runner = SweepRunner(
-        workloads=workloads,
-        modes=modes,
-        checkpoint_path=str(checkpoint_path),
-        scale=scale,
-        jobs=jobs,
-        cache=cache,
-    )
+    results = {}
+
+    def record(key, result):
+        if result.ok:
+            results[result.spec.label()] = (
+                result.ipc, result.require_stats().cycles)
+
     start = time.perf_counter()
-    state = runner.run()
+    summary = execute_run(
+        SuiteMatrix(scale=scale, workloads=workloads, modes=modes),
+        out=out, jobs=jobs, cache=cache, on_cell=record,
+    )
     elapsed = time.perf_counter() - start
-    failed = [k for k, c in state["cells"].items() if c["status"] != "done"]
-    if failed:
-        raise SystemExit(f"sweep cells failed: {failed}")
-    results = {
-        key: (cell["ipc"], cell["cycles"]) for key, cell in state["cells"].items()
-    }
+    if summary["failed"]:
+        raise SystemExit(f"{summary['failed']} sweep cells failed; see "
+                         f"{summary['run_dir']}/report.md")
     return elapsed, results
 
 
@@ -308,7 +310,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--work-dir", default=None, metavar="DIR",
-        help="scratch directory for cache + checkpoints (default: temp)",
+        help="scratch directory for cache + run dirs (default: temp)",
     )
     parser.add_argument(
         "--sample", default="smarts:1000/10000", metavar="SPEC",
@@ -375,10 +377,10 @@ def main(argv=None) -> int:
     cache = ResultCache(str(work_dir / "cache"))
 
     cold_s, cold_results = run_pass(
-        workloads, modes, args.scale, args.jobs, cache, work_dir / "cold.json"
+        workloads, modes, args.scale, args.jobs, cache, work_dir / "runs"
     )
     warm_s, warm_results = run_pass(
-        workloads, modes, args.scale, args.jobs, cache, work_dir / "warm.json"
+        workloads, modes, args.scale, args.jobs, cache, work_dir / "runs"
     )
     if warm_results != cold_results:
         raise SystemExit("warm pass produced different per-cell results")

@@ -1,11 +1,14 @@
 #!/usr/bin/env python
-"""Smoke test for the job server: start, submit, verify, SIGTERM-drain.
+"""Smoke test for the job server: start, submit, SIGTERM-drain, resume.
 
 Starts ``python -m repro.serve`` as a real subprocess on a UNIX socket,
 submits one cell through the client, asserts the result arrives with a
 plausible IPC, then delivers SIGTERM with a bulk sweep still in flight
-and asserts the server drains gracefully: exit code 0, a drain
-checkpoint for the unfinished sweep, and a "drained" farewell on stdout.
+and asserts the server drains gracefully: exit code 0 and a "drained"
+farewell on stdout. When the drain cut the sweep short, its run dir must
+be a partial orchestrate run that ``python -m repro.orchestrate run
+--resume --run-dir <dir>`` finishes: exit 0, manifest ``complete``, and
+all 6 cells stored.
 
 Run by CI (the ``serve-smoke`` job) and by
 ``tests/serve/test_server.py``; exits 0 and prints ``SMOKE OK`` on
@@ -15,7 +18,6 @@ success.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import signal
@@ -36,6 +38,34 @@ def wait_for(predicate, *, timeout: float, what: str):
         if time.monotonic() > deadline:
             raise SystemExit(f"smoke FAILED: timed out waiting for {what}")
         time.sleep(0.1)
+
+
+def resume_drained(run_dir: pathlib.Path, workdir: pathlib.Path, env,
+                   cells: int) -> None:
+    """Finish a drained ``cells``-cell sweep with the one-line resume."""
+    from repro.orchestrate.rundir import MANIFEST_VERSION, load_cells, load_manifest
+
+    manifest = load_manifest(run_dir)
+    assert manifest["manifest_version"] == MANIFEST_VERSION, manifest
+    # Full instance identity must be recorded (resume safety).
+    assert manifest["instance"]["engine"] in ("obj", "array"), manifest
+    assert isinstance(manifest["instance"]["cache_schema"], int), manifest
+    assert manifest["status"] == "partial", manifest
+    print(f"drained run dir: {run_dir.name} "
+          f"({len(load_cells(run_dir))}/{cells} cells finished)")
+
+    resumed = subprocess.run(
+        [sys.executable, "-m", "repro.orchestrate", "run", "--resume",
+         "--run-dir", str(run_dir), "--cache-dir", str(workdir / "cache")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    print(resumed.stdout, end="")
+    assert resumed.returncode == 0, resumed.stdout + resumed.stderr
+    assert load_manifest(run_dir)["status"] == "complete"
+    stored = load_cells(run_dir)
+    assert len(stored) == cells, sorted(stored)
+    assert all(cell["status"] == "done" for cell in stored.values()), stored
+    print(f"drained sweep resumed: {cells}/{cells} cells done")
 
 
 def main() -> int:
@@ -90,21 +120,12 @@ def main() -> int:
         assert "drained, exiting" in out, "no graceful-drain farewell"
 
         # A SIGTERM mid-sweep leaves either a finished job (nothing to
-        # checkpoint) or a resume-ready checkpoint for the remainder.
-        checkpoints = sorted(pathlib.Path(drain_dir).glob("*.json"))
-        if checkpoints:
-            state = json.load(open(checkpoints[0]))
-            from repro.experiments.runner import CHECKPOINT_VERSION
-
-            assert state["version"] == CHECKPOINT_VERSION, state
-            assert "cells" in state, state
-            # Full instance identity must be recorded (resume safety).
-            assert state["engine"] in ("obj", "array"), state
-            assert isinstance(state["cache_schema"], int), state
-            print(f"drain checkpoint: {checkpoints[0].name} "
-                  f"({len(state['cells'])}/6 cells finished)")
+        # resume) or a partial run dir for the remainder.
+        run_dir = pathlib.Path(drain_dir) / sweep["job"]
+        if run_dir.is_dir():
+            resume_drained(run_dir, workdir, env, sweep["cells"])
         else:
-            print("sweep finished before SIGTERM; nothing to checkpoint")
+            print("sweep finished before SIGTERM; nothing to resume")
     finally:
         if server.poll() is None:
             server.kill()

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from ..parallel.executor import CellResult, run_cells as _parallel_run_cells
+from ..resilience.policy import RetryPolicy
 from ..sim.comparison import geomean
 from ..workloads import suite_names
 
@@ -39,7 +40,9 @@ class ExecutionOptions:
 
     jobs: int = 1
     cache: object = None  # repro.parallel.ResultCache | None
-    retries: int = 1
+    #: Retry policy for transient cell failures (docs/RESILIENCE.md);
+    #: ``None`` is ``RetryPolicy.immediate(1)``, the executor's default.
+    policy: RetryPolicy | None = None
     #: ``--sample`` spec ("off" | "smarts:<d>/<p>" | "simpoint:<k>[/<i>]");
     #: anything but "off" routes run_cells through the sampled estimator.
     sample: str = "off"
@@ -53,8 +56,8 @@ _EXECUTION = ExecutionOptions()
 
 @contextmanager
 def execution_context(*, jobs: int | None = None, cache=None,
-                      retries: int | None = None, sample: str | None = None,
-                      engine: str | None = None):
+                      policy: RetryPolicy | None = None,
+                      sample: str | None = None, engine: str | None = None):
     """Scope the pool size / result cache for every ``run_cells`` inside."""
     global _EXECUTION
     previous = _EXECUTION
@@ -63,8 +66,8 @@ def execution_context(*, jobs: int | None = None, cache=None,
         updates["jobs"] = jobs
     if cache is not None:
         updates["cache"] = cache
-    if retries is not None:
-        updates["retries"] = retries
+    if policy is not None:
+        updates["policy"] = policy
     if sample is not None:
         updates["sample"] = sample
     if engine is not None:
@@ -104,14 +107,14 @@ def run_cells(specs, *, on_result=None) -> list[CellResult]:
             parse_sample(_EXECUTION.sample),
             jobs=_EXECUTION.jobs,
             cache=_EXECUTION.cache,
-            retries=_EXECUTION.retries,
+            policy=_EXECUTION.policy,
             on_result=on_result,
         )
     return _parallel_run_cells(
         specs,
         jobs=_EXECUTION.jobs,
         cache=_EXECUTION.cache,
-        retries=_EXECUTION.retries,
+        policy=_EXECUTION.policy,
         on_result=on_result,
     )
 

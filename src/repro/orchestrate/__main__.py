@@ -8,9 +8,14 @@ run directory's tables without simulating.
 
 Execution flags are the same set every experiment CLI takes
 (docs/PARALLEL.md): ``--jobs``, ``--cache-dir``/``--no-cache``,
-``--sample``, ``--engine``. ``run --resume`` continues the latest (or
-named) run directory, simulating only missing cells — after verifying
-the run's recorded identity matches this invocation.
+``--sample``, ``--engine``; ``run`` adds the per-cell failure knobs of
+docs/RESILIENCE.md (``--retries``, ``--retry-backoff``, ``--deadline``,
+``--cycle-budget``, ``--invariants``, ``--crash-dir``). ``run --resume``
+continues the latest (or named) run directory, simulating every cell
+that is not ``done`` — after verifying the run's recorded identity
+matches this invocation. ``run --resume --run-dir DIR`` without
+``--experiment`` rebuilds the experiment from DIR's manifest, which is
+how a drained serve job is finished (docs/SERVE.md).
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import sys
 from pathlib import Path
 
 from .experiment import experiment_names, get_experiment, registry
-from .rundir import RunIdentityError, latest_run_dir
-from .runs import execute_run, report_run
+from .rundir import RunIdentityError, latest_run_dir, load_manifest
+from .runs import execute_run, recorded_experiment, report_run
 
 
 def build_cache(args):
@@ -46,12 +51,27 @@ def cmd_list(args) -> int:
     return 0
 
 
+def build_policy(args):
+    """The RetryPolicy of --retries/--retry-backoff/--deadline."""
+    from ..resilience.policy import RetryPolicy
+
+    return RetryPolicy(
+        retries=args.retries,
+        backoff_base=args.retry_backoff,
+        deadline=args.deadline,
+    )
+
+
 def make_experiment(args):
-    cls = get_experiment(args.experiment)
-    kwargs = {"scale": args.scale, "seeds": args.seeds}
+    if args.experiment is None:
+        return recorded_experiment(load_manifest(args.run_dir))
+    kwargs = {
+        "scale": 1.0 if args.scale is None else args.scale,
+        "seeds": 1 if args.seeds is None else args.seeds,
+    }
     if args.workloads:
         kwargs["workloads"] = args.workloads.split(",")
-    return cls(**kwargs)
+    return get_experiment(args.experiment)(**kwargs)
 
 
 def cmd_run(args) -> int:
@@ -65,6 +85,10 @@ def cmd_run(args) -> int:
         cache=build_cache(args),
         sample=args.sample,
         engine=args.engine,
+        policy=build_policy(args),
+        cycle_budget=args.cycle_budget,
+        invariants=args.invariants,
+        crash_dir=args.crash_dir,
         on_cell=lambda key, result: print(
             f"  {result.spec.label()}: {result.status}"
             f"{' (cached)' if result.from_cache else ''}",
@@ -105,19 +129,22 @@ def cmd_report(args) -> int:
 
 
 def add_selection_args(parser) -> None:
+    # Selection flags default to None so that "not given" is visible:
+    # a manifest resume must refuse them rather than ignore them.
     parser.add_argument(
-        "--experiment", required=True,
+        "--experiment", default=None,
         choices=experiment_names(), metavar="NAME",
-        help="experiment id from the registry ('list' prints them)",
+        help="experiment id from the registry ('list' prints them); "
+        "required unless --resume --run-dir DIR reuses DIR's manifest",
     )
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload scale factor")
+    parser.add_argument("--scale", type=float, default=None,
+                        help="workload scale factor (default: 1.0)")
     parser.add_argument(
-        "--workloads", default="",
+        "--workloads", default=None,
         help="comma-separated workload subset (default: experiment's own)",
     )
     parser.add_argument(
-        "--seeds", type=int, default=1, metavar="N",
+        "--seeds", type=int, default=None, metavar="N",
         help="seed replicas per workload (ref, ref#1, ...); reports show "
         "median/stdev over them (default: 1, bit-identical to legacy runs)",
     )
@@ -173,6 +200,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycle-model implementation (docs/ENGINE.md); default: "
         "REPRO_ENGINE env var, then 'array' -- results are identical",
     )
+    failure = run_p.add_argument_group("per-cell failure options "
+                                       "(docs/RESILIENCE.md)")
+    failure.add_argument(
+        "--retries", type=int, default=1,
+        help="retry budget for transient per-cell failures (default: 1)",
+    )
+    failure.add_argument(
+        "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
+        help="base delay before the first retry; doubles per retry with "
+        "deterministic seeded jitter (default: 0, retry immediately)",
+    )
+    failure.add_argument(
+        "--deadline", type=float, default=None, metavar="SECONDS",
+        help="wall-clock budget for one cell's attempts: stop retrying a "
+        "cell once this much time has been spent on it (default: none)",
+    )
+    failure.add_argument(
+        "--cycle-budget", type=int, default=None, metavar="CYCLES",
+        help="simulated-cycle budget per cell (deterministic timeout; "
+        "works in pool workers and off the main thread)",
+    )
+    failure.add_argument(
+        "--invariants", choices=("off", "periodic", "full"), default="off",
+        help="invariant audit cadence for every cell (default: off)",
+    )
+    failure.add_argument(
+        "--crash-dir", default=None, metavar="DIR",
+        help="write crash bundles for failed cells to DIR",
+    )
     run_p.set_defaults(func=cmd_run)
 
     report_p = sub.add_parser(
@@ -191,9 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_run_selection(parser, args) -> None:
+    """Usage errors for a ``run`` without ``--experiment``: the run dir's
+    manifest then supplies the selection, so no selection flag may be
+    given."""
+    if args.experiment is not None:
+        return
+    given = [f"--{name}" for name in ("scale", "workloads", "seeds")
+             if getattr(args, name) is not None]
+    if given:
+        parser.error(f"{', '.join(given)} needs --experiment; a resume "
+                     "without it reuses the run dir's recorded selection")
+    if not (args.resume and args.run_dir):
+        parser.error("run needs --experiment NAME, or --resume --run-dir "
+                     "DIR to continue a recorded run")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run":
+        check_run_selection(parser, args)
     if getattr(args, "sample", "off") != "off":
         from ..sampling import parse_sample
 

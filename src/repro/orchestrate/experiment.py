@@ -295,11 +295,12 @@ def get_experiment(name: str) -> type[Experiment]:
 
 @register
 class SuiteMatrix(Experiment):
-    """The resumable sweep's (workload × mode) matrix as an Experiment.
+    """The whole-suite (workload × mode) matrix as an Experiment.
 
     The generic report applies: per-workload median IPC per mode, with
     stdev over seed replicas in the aggregate table — the thousand-cell
-    shape the orchestration layer exists for.
+    shape the orchestration layer exists for. The job server's ``sweep``
+    op lowers to it, so a drained sweep resumes like any run dir.
     """
 
     name = "suite"

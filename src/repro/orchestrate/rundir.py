@@ -39,7 +39,7 @@ class RunIdentityError(ValueError):
 
 
 def atomic_write_json(path: Path, payload: dict) -> None:
-    """Write JSON via temp file + rename (kill-safe, like the sweep)."""
+    """Write JSON via temp file + rename (a kill leaves old or new)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:

@@ -2,21 +2,25 @@
 
 :func:`execute_run` is the engine behind ``python -m repro.orchestrate
 run``: plan the experiment, open (or resume) a run directory, execute the
-still-missing cells through the shared pool/cache/sampling stack, persist
-every resolved cell incrementally, and render the reports.
+cells without a ``done`` result through the shared pool/cache/sampling
+stack, persist every resolved cell incrementally, and render the reports.
 :func:`report_run` re-renders reports from a finished (or partial) run
 directory without simulating anything — after re-verifying the run's
-recorded identity against the present code.
+recorded identity against the present code. A run directory is the one
+resume format: the job server's drain writes the same layout
+(docs/SERVE.md).
 """
 
 from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from ..parallel.cellkey import CACHE_SCHEMA_VERSION, cell_key
 from ..parallel.executor import STATUS_DONE, STATUS_FAILED, CellResult
+from ..resilience.policy import RetryPolicy
 from ..sim.simulator import resolve_engine
 from ..uarch.stats import SimStats
 from .experiment import Experiment, PlannedCell, get_experiment
@@ -36,7 +40,7 @@ from .rundir import (
 
 
 def _cell_payload(result: CellResult) -> dict:
-    """The JSON stored per resolved cell (superset of a checkpoint row)."""
+    """The JSON a run directory stores for one resolved cell."""
     payload = {
         "status": result.status,
         "attempts": result.attempts,
@@ -163,6 +167,10 @@ def execute_run(
     cache=None,
     sample: str = "off",
     engine: str | None = None,
+    policy: RetryPolicy | None = None,
+    cycle_budget: int | None = None,
+    invariants: str | None = None,
+    crash_dir: str | None = None,
     on_cell=None,
 ) -> dict:
     """Run one experiment into a run directory; returns a summary dict.
@@ -170,7 +178,14 @@ def execute_run(
     ``resume=True`` reopens an existing run directory (``run_dir`` or the
     experiment's latest under ``out``), verifies its recorded identity
     matches this invocation (:class:`RunIdentityError` otherwise), and
-    simulates only the cells without a stored result.
+    simulates only the cells without a ``done`` result — failed cells
+    run again.
+
+    ``policy`` paces retries of transient cell failures
+    (docs/RESILIENCE.md). ``cycle_budget``, ``invariants`` and
+    ``crash_dir`` are stamped onto the cells this call simulates; they
+    are execution-only :class:`~repro.parallel.cellkey.CellSpec` fields,
+    so no cell key moves.
     """
     from ..experiments.common import execution_context, run_cells
 
@@ -199,8 +214,8 @@ def execute_run(
     if not plan:
         # Legacy experiment: not cell-shaped; run it whole under the same
         # execution context and persist only the rendered report.
-        with execution_context(jobs=jobs, cache=cache, sample=sample,
-                               engine=engine):
+        with execution_context(jobs=jobs, cache=cache, policy=policy,
+                               sample=sample, engine=engine):
             figure = experiment.run_inline()
         manifest["status"] = "complete"
         atomic_write_json(manifest_path(path), manifest)
@@ -231,9 +246,15 @@ def execute_run(
             on_cell(key, result)
 
     if pending:
-        with execution_context(jobs=jobs, cache=cache, sample=sample,
-                               engine=engine):
-            fresh = run_cells([c.spec for c in pending], on_result=persist)
+        knobs = dict(cycle_budget=cycle_budget, invariants=invariants,
+                     crash_dir=crash_dir)
+        knobs = {name: value for name, value in knobs.items() if value is not None}
+        specs = [c.spec for c in pending]
+        if knobs:
+            specs = [replace(spec, **knobs) for spec in specs]
+        with execution_context(jobs=jobs, cache=cache, policy=policy,
+                               sample=sample, engine=engine):
+            fresh = run_cells(specs, on_result=persist)
         for cell, result in zip(pending, fresh):
             for index in by_key[cell.key]:
                 results[index] = result
@@ -259,6 +280,11 @@ def execute_run(
             "aggregate": aggregate, "report": report}
 
 
+def recorded_experiment(manifest: dict) -> Experiment:
+    """The experiment a run manifest records: its registry name + args."""
+    return get_experiment(manifest["experiment"])(**manifest.get("args", {}))
+
+
 def report_run(run_dir: str | Path) -> dict:
     """Re-render reports from a run directory without simulating.
 
@@ -277,8 +303,7 @@ def report_run(run_dir: str | Path) -> dict:
             f"{CACHE_SCHEMA_VERSION} — re-run instead of re-reporting"
         )
 
-    cls = get_experiment(manifest["experiment"])
-    experiment = cls(**manifest.get("args", {}))
+    experiment = recorded_experiment(manifest)
 
     if manifest.get("kind") == "legacy" or not manifest.get("cells"):
         # Re-render the stored report (legacy runs keep no cells).

@@ -50,14 +50,14 @@ from ..uarch.stats import SimStats
 from .cache import ResultCache
 from .cellkey import CellSpec, cell_key
 
-#: Cell states (shared vocabulary with the sweep checkpoint).
+#: Cell states (shared vocabulary with run-dir cells and serve rows).
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 
 
 @dataclass
 class PoolStats:
-    """Execution counters for one ``run_cells`` call (or a whole sweep)."""
+    """Execution counters for one ``run_cells`` call (or a whole server)."""
 
     cells_total: int = 0
     cells_cached: int = 0
@@ -136,8 +136,8 @@ class CellResult:
             )
         return self.stats
 
-    def checkpoint_row(self) -> dict:
-        """The sweep-checkpoint cell dict for this result."""
+    def wait_row(self) -> dict:
+        """The compact per-cell row a serve ``wait`` response carries."""
         row = {"status": self.status, "attempts": self.attempts, "key": self.key}
         if self.ok:
             stats = self.require_stats()
@@ -319,8 +319,8 @@ def run_cells(
     ``jobs <= 1`` runs in-process (no pool, no pickling); higher values use
     a process pool with at most ``jobs`` workers. ``on_result`` is called
     with each :class:`CellResult` *as it resolves* (completion order —
-    useful for incremental checkpointing); the returned list is always in
-    input order.
+    run directories persist cells through it); the returned list is
+    always in input order.
 
     Retry behaviour is governed by ``policy``
     (:class:`~repro.resilience.policy.RetryPolicy`: budget, backoff,

@@ -11,8 +11,8 @@ Four pieces (user guide: docs/RESILIENCE.md):
 * :mod:`repro.resilience.crash_bundle` -- JSON post-mortems (registry
   snapshot, trace tail, stall attribution, config, run context).
 
-The resumable experiment runner built on top of this layer lives in
-:mod:`repro.experiments.runner`.
+Resumable runs built on top of this layer are orchestrate run dirs
+(:func:`repro.orchestrate.execute_run`, docs/ORCHESTRATION.md).
 
 Nothing here imports :mod:`repro.uarch` at module level — the pipeline
 imports *us*, and the audits are duck-typed against its structures.

@@ -26,14 +26,14 @@ class SimulationError(Exception):
 
 
 class CellTimeout(TimeoutError):
-    """A sweep cell exceeded its per-cell budget.
+    """A simulation cell exceeded its per-cell budget.
 
     Historically raised by a ``SIGALRM`` wall-clock alarm, which silently
     never fired off the POSIX main thread (and therefore in pool workers).
     It is now raised by
     :class:`~repro.resilience.watchdog.CycleBudgetWatchdog` when the
     simulated-cycle budget runs out — deterministic, and it works on any
-    thread, in any worker process, on any platform. The sweep runner still
+    thread, in any worker process, on any platform. The retry policy still
     treats it as a *transient* failure (retried, then recorded).
 
     Deliberately a plain :class:`TimeoutError`, not a

@@ -1,9 +1,9 @@
 """Shared retry policy: failure classification, backoff, jitter, deadline.
 
 Before this module, every execution layer carried its own copy of the
-transient/hard failure split — the process-pool executor, the sweep
-runner's injected path, and (now) the job server. One policy object is
-the single source of truth for all of them:
+transient/hard failure split — the process-pool executor and the job
+server among them. One policy object is the single source of truth for
+all of them:
 
 * **Classification** — which exceptions are *hard* (never retried),
   *transient* (retried within budget), or *configuration* errors
@@ -13,7 +13,7 @@ the single source of truth for all of them:
 * **Backoff** — exponential (``backoff_base * backoff_factor**(n-1)``),
   capped at ``backoff_max``, with *deterministic seeded jitter*: the
   jitter fraction is a hash of ``(seed, key, attempt)``, so two runs of
-  the same sweep wait the same amount and a failing schedule replays
+  the same run wait the same amount and a failing schedule replays
   exactly. Monotonicity is guaranteed by construction (the jitter
   multiplier never exceeds ``backoff_factor``; validated at init).
 * **Deadline** — an optional per-job wall-clock bound: once a cell has

@@ -123,7 +123,7 @@ class CycleBudgetWatchdog(Watchdog):
     times out at the same point), portable, and thread/process-agnostic.
     Hitting the budget raises
     :class:`~repro.resilience.errors.CellTimeout` — the transient-failure
-    class the sweep retry policy already understands — instead of the hard
+    class the shared retry policy already understands — instead of the hard
     :class:`~repro.resilience.errors.SimulationError` a genuine cycle-limit
     wedge produces. Livelock detection stays inherited: a truly stuck run
     is still a hard failure, budget or not.

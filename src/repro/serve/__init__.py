@@ -5,8 +5,8 @@
 The server multiplexes jobs onto the ``repro.parallel`` process pool and
 result cache with supervision (crash/hang recovery), bounded admission
 queues with backpressure, duplicate-request coalescing, shared
-retry/backoff policy, and graceful SIGTERM drain with resumable
-checkpoints.
+retry/backoff policy, and graceful SIGTERM drain into resumable
+orchestrate run dirs.
 """
 
 from .jobs import (

@@ -3,9 +3,11 @@
 Starts a :class:`~repro.serve.server.SimServer` on a UNIX socket
 (``--socket``) or TCP port (``--port``) and serves until SIGTERM/SIGINT,
 which triggers a graceful drain: admission stops, in-flight cells finish
-(up to ``--drain-timeout``), incomplete sweep jobs are checkpointed into
-``--drain-dir`` in the resumable-sweep format, and only then does the
-process exit. See docs/SERVE.md.
+(up to ``--drain-timeout``), each incomplete ``sweep`` or ``experiment``
+job is written as an orchestrate run dir ``--drain-dir/<job-id>/``, and
+only then does the process exit. ``python -m repro.orchestrate run
+--resume --run-dir <drain-dir>/<job-id>`` finishes such a job offline.
+See docs/SERVE.md.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_QUEUE_LIMITS["bulk"],
                         metavar="CELLS", help="bulk admission bound")
     parser.add_argument("--drain-dir", default="serve_drain", metavar="DIR",
-                        help="where drain checkpoints are written")
+                        help="where a drain writes each unfinished sweep or "
+                             "experiment job as a run dir DIR/<job-id>/, "
+                             "for orchestrate run --resume")
     parser.add_argument("--drain-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="how long a drain waits for in-flight cells")

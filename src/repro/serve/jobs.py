@@ -1,16 +1,17 @@
 """Job bookkeeping for the simulation server.
 
-A :class:`Job` is one client request (``submit`` or ``sweep``) fanned out
-into simulation cells. Cells resolve independently — possibly shared with
-other jobs through the server's duplicate-request coalescing — and the
-job reaches a terminal state exactly once, when its last cell resolves
-(``done``/``failed``) or the server drains it (``drained``).
+A :class:`Job` is one client request (``submit``, ``sweep`` or
+``experiment``) fanned out into simulation cells. Cells resolve
+independently — possibly shared with other jobs through the server's
+duplicate-request coalescing — and the job reaches a terminal state
+exactly once, when its last cell resolves (``done``/``failed``) or the
+server drains it (``drained``).
 
 State machine::
 
     queued -> running -> done      (every cell ok)
                       \\-> failed   (>= 1 cell failed; all terminal)
-    queued|running -> drained      (graceful drain checkpointed it)
+    queued|running -> drained      (graceful drain wrote its run dir)
 
 ``asyncio.Event`` is the only concurrency primitive: everything here runs
 on the server's event loop, so plain attribute updates are race-free.
@@ -22,9 +23,13 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..parallel.cellkey import CellSpec
 from ..parallel.executor import CellResult
+
+if TYPE_CHECKING:  # the orchestrate registry is imported lazily
+    from ..orchestrate.experiment import Experiment
 
 JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
@@ -45,20 +50,16 @@ class Job:
     priority: str
     specs: list[CellSpec]
     keys: list[str]
-    #: Sweep-shaped jobs carry their matrix for drain checkpointing.
-    workloads: list[str] | None = None
-    modes: list[str] | None = None
-    scale: float = 1.0
-    #: Requested engine (None = server default); recorded in drain
-    #: checkpoints so a resume cannot silently mix instances.
+    #: The experiment a ``sweep`` or ``experiment`` job lowered; a drain
+    #: writes it as a run dir.
+    experiment: Experiment | None = None
+    #: Requested engine (None = server default); recorded in the drained
+    #: run dir's manifest so a resume cannot silently mix instances.
     engine: str | None = None
-    #: Orchestration experiment name, for jobs admitted via the
-    #: ``experiment`` op (docs/ORCHESTRATION.md).
-    experiment: str | None = None
     created: float = field(default_factory=time.monotonic)
     state: str = JOB_QUEUED
     results: list = field(default_factory=list)
-    #: Path of the drain checkpoint, when the job was drained mid-flight.
+    #: The drained run dir, when the job was drained mid-flight.
     checkpoint: str | None = None
     event: asyncio.Event = field(default_factory=asyncio.Event)
 
@@ -115,8 +116,8 @@ class Job:
             "cells": len(self.specs),
             "remaining": self.remaining,
         }
-        if self.experiment:
-            row["experiment"] = self.experiment
+        if self.experiment is not None:
+            row["experiment"] = self.experiment.name
         if self.checkpoint:
             row["checkpoint"] = self.checkpoint
         return row
@@ -131,7 +132,7 @@ class Job:
                     "key": key, "status": "pending",
                 })
                 continue
-            row = result.checkpoint_row()
+            row = result.wait_row()
             row.update(workload=spec.workload, mode=spec.mode)
             rows.append(row)
         return rows

@@ -154,6 +154,21 @@ def _validate_mode(mode: str) -> None:
             f"unknown mode {mode!r}; known: {MODES}", code=E_BAD_REQUEST)
 
 
+def _execution_fields(fields: dict) -> dict:
+    """The validated, set ``engine``/``cycle_budget`` of a cell or sweep."""
+    engine = fields.get("engine")
+    if engine not in (None, "obj", "array"):
+        raise ProtocolError("cell engine must be 'obj' or 'array'")
+    cycle_budget = fields.get("cycle_budget")
+    if cycle_budget is not None and (
+        not isinstance(cycle_budget, int) or cycle_budget < 1
+    ):
+        raise ProtocolError("cell cycle_budget must be a positive integer")
+    return {name: value for name, value in
+            (("cycle_budget", cycle_budget), ("engine", engine))
+            if value is not None}
+
+
 def _parse_corun_cell(cell: dict) -> CellSpec:
     """A validated co-run :class:`CellSpec` from a ``corun`` mix dict."""
     unknown = set(cell) - {"corun", "scale", "cycle_budget", "engine",
@@ -176,17 +191,7 @@ def _parse_corun_cell(cell: dict) -> CellSpec:
     scale = cell.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or scale <= 0:
         raise ProtocolError("cell scale must be a positive number")
-    engine = cell.get("engine")
-    if engine not in (None, "obj", "array"):
-        raise ProtocolError("cell engine must be 'obj' or 'array'")
-    cycle_budget = cell.get("cycle_budget")
-    if cycle_budget is not None and (
-        not isinstance(cycle_budget, int) or cycle_budget < 1
-    ):
-        raise ProtocolError("cell cycle_budget must be a positive integer")
-    return corun_cell(
-        spec, scale=float(scale), cycle_budget=cycle_budget, engine=engine,
-    )
+    return corun_cell(spec, scale=float(scale), **_execution_fields(cell))
 
 
 def parse_cell(cell: dict) -> CellSpec:
@@ -208,14 +213,7 @@ def parse_cell(cell: dict) -> CellSpec:
     scale = cell.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or scale <= 0:
         raise ProtocolError("cell scale must be a positive number")
-    engine = cell.get("engine")
-    if engine not in (None, "obj", "array"):
-        raise ProtocolError("cell engine must be 'obj' or 'array'")
-    cycle_budget = cell.get("cycle_budget")
-    if cycle_budget is not None and (
-        not isinstance(cycle_budget, int) or cycle_budget < 1
-    ):
-        raise ProtocolError("cell cycle_budget must be a positive integer")
+    extras = _execution_fields(cell)
     critical_pcs = cell.get("critical_pcs")
     if critical_pcs is not None:
         if not isinstance(critical_pcs, list) or not all(
@@ -229,8 +227,7 @@ def parse_cell(cell: dict) -> CellSpec:
         scale=float(scale),
         variant=cell.get("variant", "ref"),
         critical_pcs=critical_pcs,
-        cycle_budget=cycle_budget,
-        engine=engine,
+        **extras,
     )
 
 
@@ -245,7 +242,12 @@ def parse_submit(req: dict) -> tuple[list[CellSpec], str]:
 
 
 def parse_sweep(req: dict) -> tuple[list[str], list[str], float, dict, str]:
-    """Validated ``(workloads, modes, scale, extras, priority)`` of a sweep."""
+    """Validated ``(workloads, modes, scale, extras, priority)`` of a sweep.
+
+    ``extras`` holds the execution-only cell fields the request set
+    (``cycle_budget``, ``engine``); the server lowers the rest to the
+    ``suite`` experiment.
+    """
     workloads = _require(req, "workloads", list)
     modes = _require(req, "modes", list)
     if not workloads or not all(isinstance(w, str) and w for w in workloads):
@@ -255,10 +257,11 @@ def parse_sweep(req: dict) -> tuple[list[str], list[str], float, dict, str]:
     scale = req.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or scale <= 0:
         raise ProtocolError("scale must be a positive number")
-    extras = {}
-    for field in ("cycle_budget", "engine"):
-        if req.get(field) is not None:
-            extras[field] = req[field]
+    for workload in workloads:
+        _validate_workload(workload)
+    for mode in modes:
+        _validate_mode(mode)
+    extras = _execution_fields(req)
     return workloads, modes, float(scale), extras, parse_priority(req, "bulk")
 
 

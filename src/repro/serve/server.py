@@ -16,9 +16,10 @@ interesting question — *how does it fail?* — has boring answers:
   (:func:`~repro.parallel.cellkey.cell_key`): N clients asking for the
   same cell share one execution and one cache store.
 * **Graceful drain** — SIGTERM (or the ``drain`` op) stops admission,
-  lets in-flight cells finish, checkpoints incomplete sweep jobs in the
-  resumable-sweep format (``python -m repro.experiments sweep --resume``
-  completes them), and only then stops.
+  lets in-flight cells finish, writes each incomplete ``sweep`` or
+  ``experiment`` job as an orchestrate run dir (``python -m
+  repro.orchestrate run --resume --run-dir <dir>`` completes it), and
+  only then stops.
 * **Determinism** — cells are pure functions of their spec
   (docs/PARALLEL.md), so no matter how many crashes, hangs, retries, or
   corrupt cache entries a run suffers, a job that reaches ``done``
@@ -33,14 +34,12 @@ pool replacement.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from ..parallel.cache import ResultCache
 from ..parallel.cellkey import CellSpec, cell_key
@@ -100,7 +99,8 @@ class SimServer:
         declares the worker hung and kills the pool. ``None`` disables
         hang detection (crashes are still supervised).
     drain_dir:
-        Where drain checkpoints for incomplete sweep jobs are written.
+        Where a drain writes the run dirs of incomplete ``sweep`` and
+        ``experiment`` jobs (``<drain_dir>/<job-id>/``).
     """
 
     def __init__(
@@ -199,9 +199,9 @@ class SimServer:
         self._tasks.clear()
         if self._pool is not None:
             # Kill outright rather than shutdown-and-wait: any cell still
-            # running here was already checkpointed away by drain() (or
-            # the caller chose a hard stop), and a hung worker must not
-            # be able to block process exit.
+            # running here belongs to a job drain() already marked
+            # drained (or the caller chose a hard stop), and a hung
+            # worker must not be able to block process exit.
             self._kill_workers()
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -443,7 +443,7 @@ class SimServer:
     # -- drain ----------------------------------------------------------------
 
     async def drain(self) -> dict:
-        """Graceful shutdown: stop admitting, finish or checkpoint, stop.
+        """Graceful shutdown: stop admitting, finish or write run dirs, stop.
 
         Idempotent; returns a summary dict (also the ``drain`` response).
         """
@@ -457,8 +457,7 @@ class SimServer:
         for job in self._jobs.values():
             if job.terminal:
                 continue
-            checkpoint = self._checkpoint_job(job)
-            job.mark_drained(checkpoint)
+            job.mark_drained(self._write_run_dir(job))
             self.stats.jobs_drained += 1
             drained.append(job.row())
         self._drained_summary = {
@@ -468,50 +467,31 @@ class SimServer:
         self._stopped.set()
         return self._drained_summary
 
-    def _checkpoint_job(self, job: Job) -> str | None:
-        """A resumable-sweep checkpoint of the job's finished cells.
+    def _write_run_dir(self, job: Job) -> str | None:
+        """Write a drained job's finished cells as an orchestrate run dir.
 
-        Only sweep-shaped jobs (a ``workloads x modes`` matrix at one
-        scale) are checkpointable — the format is exactly
-        :class:`~repro.experiments.runner.SweepRunner`'s, so
-        ``python -m repro.experiments sweep --checkpoint <path> --resume``
-        finishes the job offline.
+        Only jobs that lowered an experiment (``sweep``, ``experiment``)
+        have one; ``python -m repro.orchestrate run --resume --run-dir
+        <dir>`` rebuilds the experiment from the manifest, checks its
+        identity, and simulates only the cells that are not ``done``.
         """
-        if job.workloads is None or job.modes is None:
+        if job.experiment is None:
             return None
-        from ..experiments.runner import CHECKPOINT_VERSION
-        from ..parallel.cellkey import CACHE_SCHEMA_VERSION
-        from ..sim.simulator import resolve_engine
+        from ..orchestrate.rundir import (
+            atomic_write_json, build_manifest, manifest_path, store_cell)
+        from ..orchestrate.runs import _cell_payload
 
-        cells = {}
-        for spec, result in zip(job.specs, job.results):
+        path = Path(self.drain_dir) / job.id
+        manifest = build_manifest(
+            job.experiment, job.experiment.plan(), engine=job.engine)
+        manifest["status"] = "partial"
+        manifest["cells_done"] = sum(
+            1 for result in job.results if result is not None and result.ok)
+        atomic_write_json(manifest_path(path), manifest)
+        for key, result in zip(job.keys, job.results):
             if result is not None:
-                cells[f"{spec.workload}/{spec.mode}"] = result.checkpoint_row()
-        state = {
-            "version": CHECKPOINT_VERSION,
-            "scale": job.scale,
-            "sample": "off",
-            # Full instance identity (same contract as the sweep runner
-            # and the orchestration manifest): a resume under a different
-            # engine or cache-schema generation is rejected, not mixed.
-            "engine": resolve_engine(job.engine),
-            "cache_schema": CACHE_SCHEMA_VERSION,
-            "workloads": job.workloads,
-            "modes": job.modes,
-            "cells": cells,
-        }
-        os.makedirs(self.drain_dir, exist_ok=True)
-        path = os.path.join(self.drain_dir, f"{job.id}.json")
-        fd, tmp = tempfile.mkstemp(dir=self.drain_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(state, handle, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+                store_cell(path, key, _cell_payload(result))
+        return str(path)
 
     # -- transport ------------------------------------------------------------
 
@@ -557,26 +537,21 @@ class SimServer:
             specs, priority = protocol.parse_submit(request)
             job, rejection = self.admit(specs, priority)
             return rejection or protocol.ok_response(**job.row())
-        if op == "sweep":
-            workloads, modes, scale, extras, priority = (
-                protocol.parse_sweep(request))
-            specs = [
-                protocol.parse_cell({"workload": w, "mode": m,
-                                     "scale": scale, **extras})
-                for w in workloads for m in modes
-            ]
-            job, rejection = self.admit(
-                specs, priority,
-                workloads=workloads, modes=modes, scale=scale,
-                engine=extras.get("engine"))
-            return rejection or protocol.ok_response(**job.row())
-        if op == "experiment":
-            name, kwargs, engine, priority = (
-                protocol.parse_experiment(request))
-            from dataclasses import replace
-
+        if op in ("sweep", "experiment"):
+            # Both ops lower an orchestrate experiment; a sweep is the
+            # registered ``suite`` matrix over its workloads x modes.
             from ..orchestrate import get_experiment
 
+            if op == "sweep":
+                workloads, modes, scale, extras, priority = (
+                    protocol.parse_sweep(request))
+                name = "suite"
+                kwargs = {"scale": scale, "workloads": workloads,
+                          "modes": modes}
+            else:
+                name, kwargs, engine, priority = (
+                    protocol.parse_experiment(request))
+                extras = {"engine": engine} if engine is not None else {}
             try:
                 experiment = get_experiment(name)(**kwargs)
                 plan = experiment.plan()
@@ -584,15 +559,12 @@ class SimServer:
                 raise ProtocolError(
                     str(exc), code=protocol.E_BAD_REQUEST) from exc
             specs = [cell.spec for cell in plan]
-            if engine is not None:
-                specs = [
-                    replace(spec, engine=engine) if spec.engine is None
-                    else spec
-                    for spec in specs
-                ]
+            if extras:
+                # Execution-only fields: no cell key moves.
+                specs = [replace(spec, **extras) for spec in specs]
             job, rejection = self.admit(
-                specs, priority, experiment=name, engine=engine,
-                scale=kwargs["scale"])
+                specs, priority, experiment=experiment,
+                engine=extras.get("engine"))
             return rejection or protocol.ok_response(**job.row())
         if op in ("status", "wait"):
             job = self._jobs.get(request.get("job"))

@@ -27,3 +27,11 @@ def test_unknown_experiment_rejected():
 def test_scale_flag_passes_through(capsys):
     assert main(["sec31", "--scale", "0.3"]) == 0
     assert "manual __builtin_prefetch" in capsys.readouterr().out
+
+
+def test_sweep_is_not_a_subcommand(capsys):
+    """Resumable suite runs go through ``python -m repro.orchestrate run``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err

@@ -1,110 +1,89 @@
-"""Sweep runner on the parallel layer: --jobs, cache, resume composition."""
+"""Suite runs on the parallel layer: --jobs, cache, resume composition."""
 
 from __future__ import annotations
 
-import json
-
-from repro.experiments.__main__ import main as experiments_main
-from repro.experiments.runner import SweepRunner
+from repro.orchestrate import execute_run
+from repro.orchestrate.__main__ import main as orchestrate_main
+from repro.orchestrate.experiment import SuiteMatrix
+from repro.orchestrate.rundir import load_cells, load_manifest
 from repro.parallel import ResultCache
 
-FAST = dict(workloads=["mcf", "lbm"], modes=["ooo", "crisp"], scale=0.05)
+FAST = dict(workloads=["mcf", "lbm"], modes=("ooo", "crisp"), scale=0.05)
 
 
-def cells_of(state):
+def cells_of(run_dir):
     return {
-        key: (cell["ipc"], cell["cycles"], cell["retired"])
-        for key, cell in state["cells"].items()
+        f"{cell['workload']}/{cell['mode']}": (
+            cell["ipc"], cell["stats"]["cycles"], cell["stats"]["retired"])
+        for cell in load_cells(run_dir).values()
     }
 
 
+def run(run_dir, **kw):
+    return execute_run(SuiteMatrix(**FAST), run_dir=run_dir, **kw)
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
-    serial = SweepRunner(checkpoint_path=str(tmp_path / "serial.json"), **FAST)
-    pooled = SweepRunner(
-        checkpoint_path=str(tmp_path / "pooled.json"), jobs=4, **FAST
-    )
-    serial_state = serial.run()
-    pooled_state = pooled.run()
-    assert cells_of(serial_state) == cells_of(pooled_state)
-    assert all(c["status"] == "done" for c in pooled_state["cells"].values())
+    run(tmp_path / "serial")
+    pooled = run(tmp_path / "pooled", jobs=2)
+    assert pooled["failed"] == 0
+    assert len(cells_of(tmp_path / "pooled")) == 4
+    assert cells_of(tmp_path / "serial") == cells_of(tmp_path / "pooled")
 
 
 def test_second_sweep_hits_cache_for_every_cell(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
-    first = SweepRunner(
-        checkpoint_path=str(tmp_path / "a.json"), jobs=2, cache=cache, **FAST
-    )
-    first_state = first.run()
+    run(tmp_path / "a", jobs=2, cache=cache)
     assert cache.stats.hits == 0
 
-    second = SweepRunner(
-        checkpoint_path=str(tmp_path / "b.json"), jobs=2, cache=cache, **FAST
-    )
-    second_state = second.run()
-    cell_count = len(FAST["workloads"]) * len(FAST["modes"])
-    assert cache.stats.hits == cell_count  # acceptance: every cell hits
-    assert cells_of(first_state) == cells_of(second_state)
-    assert all(c["cached"] for c in second_state["cells"].values())
+    seen = []
+    run(tmp_path / "b", jobs=2, cache=cache,
+        on_cell=lambda key, result: seen.append(result))
+    assert cache.stats.hits == 4  # acceptance: every cell hits
+    assert cells_of(tmp_path / "a") == cells_of(tmp_path / "b")
+    assert [result.from_cache for result in seen] == [True] * 4
 
 
 def test_resume_composes_with_jobs_and_cache(tmp_path):
+    run_dir = tmp_path / "run"
+    run(run_dir, jobs=2, cache=ResultCache(str(tmp_path / "cache")))
+
+    # Drop two finished cells from the run dir, as a crash would.
+    for key, cell in load_cells(run_dir).items():
+        if cell["workload"] == "lbm":
+            (run_dir / "cells" / f"{key}.json").unlink()
+
     cache = ResultCache(str(tmp_path / "cache"))
-    checkpoint = tmp_path / "sweep.json"
-    full = SweepRunner(checkpoint_path=str(checkpoint), jobs=2, cache=cache, **FAST)
-    state = full.run()
-
-    # Drop two finished cells from the checkpoint, as a crash would.
-    for key in ["lbm/ooo", "lbm/crisp"]:
-        del state["cells"][key]
-    checkpoint.write_text(json.dumps(state))
-
-    resumed = SweepRunner(
-        checkpoint_path=str(checkpoint), jobs=2, cache=cache, **FAST
-    )
-    resumed_state = resumed.run(resume=True)
-    assert len(resumed_state["cells"]) == 4
+    seen = []
+    summary = run(run_dir, jobs=2, cache=cache, resume=True,
+                  on_cell=lambda key, result: seen.append(result))
+    assert summary["failed"] == 0
+    assert len(load_cells(run_dir)) == 4
     # The two re-run cells came straight from the cache.
-    assert resumed.pool_stats.cells_cached == 2
-    assert resumed.pool_stats.cells_executed == 0
+    assert sorted(r.spec.label() for r in seen) == ["lbm/crisp", "lbm/ooo"]
+    assert all(r.from_cache for r in seen)
+    assert cache.stats.hits == 2 and cache.stats.misses == 0
 
 
 def test_cli_smoke_two_workloads_jobs_two(tmp_path, capsys):
     """Tier-1 smoke: the documented CLI path end to end on a temp cache."""
     argv = [
-        "sweep",
+        "run", "--experiment", "suite",
         "--workloads", "mcf,lbm",
         "--scale", "0.05",
         "--jobs", "2",
         "--cache-dir", str(tmp_path / "cache"),
-        "--checkpoint", str(tmp_path / "sweep.json"),
+        "--run-dir", str(tmp_path / "first"),
     ]
-    assert experiments_main(argv) == 0
+    assert orchestrate_main(argv) == 0
     out = capsys.readouterr().out
-    assert "4/4 cells done" in out
-
-    state = json.loads((tmp_path / "sweep.json").read_text())
-    assert {c["status"] for c in state["cells"].values()} == {"done"}
+    assert "(cached)" not in out
+    assert load_manifest(tmp_path / "first")["status"] == "complete"
+    assert len(cells_of(tmp_path / "first")) == 4
 
     # Same experiment again: every unchanged cell is answered by the cache.
-    argv[-1] = str(tmp_path / "sweep2.json")
-    assert experiments_main(argv) == 0
+    argv[-1] = str(tmp_path / "second")
+    assert orchestrate_main(argv) == 0
     out = capsys.readouterr().out
-    assert "100% hit rate" in out
-    state2 = json.loads((tmp_path / "sweep2.json").read_text())
-    assert cells_of(state) == cells_of(state2)
-
-
-def test_injected_run_cell_forces_serial_path(tmp_path):
-    """A custom run_cell (unpicklable closure) must still work with jobs>1."""
-    calls = []
-
-    def run_cell(workload, mode, **kw):
-        calls.append((workload, mode))
-        return {"ipc": 1.0, "cycles": 10, "retired": 10}
-
-    runner = SweepRunner(
-        checkpoint_path=str(tmp_path / "x.json"), jobs=4, run_cell=run_cell, **FAST
-    )
-    state = runner.run()
-    assert len(calls) == 4
-    assert all(c["status"] == "done" for c in state["cells"].values())
+    assert out.count("(cached)") == 4
+    assert cells_of(tmp_path / "first") == cells_of(tmp_path / "second")

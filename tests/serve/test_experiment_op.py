@@ -126,3 +126,25 @@ def test_experiment_cells_coalesce_with_plain_submits(tmp_path):
             assert server.stats.cells_coalesced >= 1
 
     asyncio.run(scenario())
+
+
+def test_sweep_lowers_to_the_suite_with_unchanged_cell_specs(tmp_path):
+    """A ``sweep`` job is the ``suite`` experiment over its workloads x
+    modes, admitting exactly the cells the per-cell lowering built."""
+
+    async def scenario():
+        server = SimServer(jobs=1, drain_dir=str(tmp_path / "drain"))
+        request = {"op": "sweep", "workloads": ["mcf", "lbm"],
+                   "modes": ["ooo", "crisp"], "scale": 1,
+                   "cycle_budget": 500, "engine": "obj"}
+        admitted = await server.handle_request(request)
+        assert admitted["ok"] and admitted["experiment"] == "suite"
+        job = server._jobs[admitted["job"]]
+        assert job.experiment.args()["modes"] == ["ooo", "crisp"]
+        assert job.specs == [
+            protocol.parse_cell({"workload": w, "mode": m, "scale": 1,
+                                 "cycle_budget": 500, "engine": "obj"})
+            for w in ("mcf", "lbm") for m in ("ooo", "crisp")
+        ]
+
+    asyncio.run(scenario())

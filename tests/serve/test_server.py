@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import os
 import signal
 import subprocess
@@ -18,8 +17,10 @@ import time
 
 import pytest
 
+from repro.orchestrate.__main__ import main as orchestrate_main
+from repro.orchestrate.rundir import MANIFEST_VERSION, load_cells, load_manifest
 from repro.parallel import ResultCache, run_cells
-from repro.parallel.cellkey import CellSpec
+from repro.parallel.cellkey import CACHE_SCHEMA_VERSION, CellSpec
 from repro.parallel import executor as executor_module
 from repro.serve import protocol
 from repro.serve.server import SimServer
@@ -237,61 +238,129 @@ def _slow_div_chain_run_cell(spec):
     return _real_pool_run_cell(spec)
 
 
-def test_drain_checkpoints_unfinished_sweep_for_resume(tmp_path, monkeypatch):
-    """The acceptance property: a drained sweep's checkpoint is completed
-    by a plain SweepRunner resume."""
+def drain_with_div_chain_hung(tmp_path, monkeypatch, request) -> dict:
+    """Admit ``request``, let every non-div_chain cell finish while the
+    div_chain cells hang, drain, and return the drained job's row."""
     monkeypatch.setattr(
         executor_module, "_pool_run_cell", _slow_div_chain_run_cell)
-
-    checkpoint_holder = {}
+    holder = {}
 
     async def scenario():
         async with serving(
             tmp_path, jobs=2, drain_timeout=0.3,
         ) as server:
-            admitted = await server.handle_request(
-                {"op": "sweep", "workloads": ["pointer_chase", "div_chain"],
-                 "modes": ["ooo"], "scale": FAST})
+            admitted = await server.handle_request(request)
             job = server._jobs[admitted["job"]]
             deadline = time.monotonic() + 60
-            while job.remaining > 1:  # pointer_chase finishes, div_chain hangs
+            while any(result is None
+                      for spec, result in zip(job.specs, job.results)
+                      if spec.workload != "div_chain"):
                 assert time.monotonic() < deadline
                 await asyncio.sleep(0.02)
             summary = await server.drain()
-            (drained,) = summary["drained_jobs"]
-            assert drained["state"] == "drained"
-            checkpoint_holder["path"] = drained["checkpoint"]
+            (holder["row"],) = summary["drained_jobs"]
             assert server.stats.jobs_drained == 1
 
     asyncio.run(scenario())
     monkeypatch.undo()
+    return holder["row"]
 
-    path = checkpoint_holder["path"]
-    state = json.load(open(path))
-    assert state["cells"]["pointer_chase/ooo"]["status"] == "done"
-    assert "div_chain/ooo" not in state["cells"]
-    # The checkpoint carries the full execution identity (v2 contract).
-    from repro.parallel.cellkey import CACHE_SCHEMA_VERSION
 
-    assert state["engine"] in ("obj", "array")
-    assert state["cache_schema"] == CACHE_SCHEMA_VERSION
-
-    from repro.experiments.runner import SweepRunner
-
+def resume_drained(run_dir, tmp_path, monkeypatch, *flags):
+    """``orchestrate run --resume --run-dir`` in-process; returns
+    (exit code, labels of the cells it simulated)."""
     simulated = []
+    real_run_cell_spec = executor_module.run_cell_spec
 
-    def run_cell(workload, mode, **kw):
-        simulated.append((workload, mode))
-        return {"ipc": 1.0, "cycles": 10, "retired": 10}
+    def recording(spec):
+        simulated.append(spec.label())
+        return real_run_cell_spec(spec)
 
-    runner = SweepRunner(
-        workloads=["pointer_chase", "div_chain"], modes=["ooo"],
-        checkpoint_path=path, scale=FAST, run_cell=run_cell)
-    final = runner.run(resume=True)
-    # Resume simulated only the drained cell; the finished one was kept.
-    assert simulated == [("div_chain", "ooo")]
-    assert final["cells"]["div_chain/ooo"]["status"] == "done"
-    assert final["cells"]["pointer_chase/ooo"]["status"] == "done"
+    monkeypatch.setattr(executor_module, "run_cell_spec", recording)
+    code = orchestrate_main([
+        "run", "--resume", "--run-dir", run_dir,
+        "--cache-dir", str(tmp_path / "cache"), *flags])
+    monkeypatch.undo()
+    return code, simulated
+
+
+def stored_ipcs(run_dir) -> dict:
+    return {f"{c['workload']}/{c['mode']}": c["ipc"]
+            for c in load_cells(run_dir).values()}
+
+
+def assert_drained_run_dir(row) -> dict:
+    assert row["state"] == "drained"
+    manifest = load_manifest(row["checkpoint"])
+    assert manifest["manifest_version"] == MANIFEST_VERSION
+    assert manifest["instance"]["engine"] in ("obj", "array")
+    assert manifest["instance"]["cache_schema"] == CACHE_SCHEMA_VERSION
+    assert manifest["status"] == "partial"
+    return manifest
+
+
+def test_drain_checkpoints_unfinished_sweep_for_resume(tmp_path, monkeypatch):
+    """The acceptance property: a drained sweep is a run dir that a plain
+    ``orchestrate run --resume --run-dir`` finishes, simulating only the
+    cell the drain cut off."""
+    row = drain_with_div_chain_hung(tmp_path, monkeypatch, {
+        "op": "sweep", "workloads": ["pointer_chase", "div_chain"],
+        "modes": ["ooo"], "scale": FAST})
+    run_dir = row["checkpoint"]
+    assert run_dir == str(tmp_path / "drain" / row["job"])
+    manifest = assert_drained_run_dir(row)
+    assert manifest["experiment"] == "suite"
+    assert stored_ipcs(run_dir) == {"pointer_chase/ooo": cell_result().ipc}
+
+    code, simulated = resume_drained(run_dir, tmp_path, monkeypatch)
+    assert code == 0
+    assert simulated == ["div_chain/ooo"]
+    assert load_manifest(run_dir)["status"] == "complete"
+    # The same IPCs a never-drained run of the matrix gives.
+    assert stored_ipcs(run_dir) == {
+        "pointer_chase/ooo": cell_result().ipc,
+        "div_chain/ooo": cell_result("div_chain").ipc,
+    }
+
+
+def test_drain_writes_an_experiment_job_as_a_resumable_run_dir(
+        tmp_path, monkeypatch):
+    """``experiment`` jobs drain to run dirs too, and resume the same way."""
+    row = drain_with_div_chain_hung(tmp_path, monkeypatch, {
+        "op": "experiment", "experiment": "suite",
+        "workloads": ["pointer_chase", "div_chain"], "scale": FAST})
+    manifest = assert_drained_run_dir(row)
+    assert manifest["cells_done"] == 2
+    run_dir = row["checkpoint"]
+    assert set(stored_ipcs(run_dir)) == {
+        "pointer_chase/ooo", "pointer_chase/crisp"}
+
+    code, simulated = resume_drained(run_dir, tmp_path, monkeypatch)
+    assert code == 0
+    assert sorted(simulated) == ["div_chain/crisp", "div_chain/ooo"]
+    assert load_manifest(run_dir)["status"] == "complete"
+    assert stored_ipcs(run_dir) == {
+        f"{w}/{m}": cell_result(w, m).ipc
+        for w in ("pointer_chase", "div_chain") for m in ("ooo", "crisp")
+    }
+
+
+def test_drained_run_dir_refuses_the_other_engine(tmp_path, monkeypatch,
+                                                  capsys):
+    """An identity mismatch is a clean exit 1 that simulates nothing."""
+    row = drain_with_div_chain_hung(tmp_path, monkeypatch, {
+        "op": "sweep", "workloads": ["pointer_chase", "div_chain"],
+        "modes": ["ooo"], "scale": FAST})
+    recorded = assert_drained_run_dir(row)["instance"]["engine"]
+    other = "array" if recorded == "obj" else "obj"
+    capsys.readouterr()
+
+    code, simulated = resume_drained(
+        row["checkpoint"], tmp_path, monkeypatch, "--engine", other)
+    assert code == 1
+    assert simulated == []
+    err = capsys.readouterr().err
+    assert "identity mismatch" in err and "instance.engine" in err
 
 
 # -- process-level smoke: python -m repro.serve + SIGTERM ----------------------
