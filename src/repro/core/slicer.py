@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .tracer import IndexedTrace
 
@@ -56,11 +57,29 @@ class Slice:
     kind: str  # "load" | "branch"
     pcs: set[int] = field(default_factory=set)
     dags: list[SliceDag] = field(default_factory=list)
-    dynamic_sizes: list[int] = field(default_factory=list)
+    #: The trace the DAGs were sliced from, and the per-instance node cap:
+    #: what :attr:`dynamic_sizes` measures the cones on.
+    indexed: IndexedTrace | None = field(default=None, repr=False, compare=False)
+    max_nodes: int = 4096
 
     @property
     def static_size(self) -> int:
         return len(self.pcs)
+
+    @cached_property
+    def dynamic_sizes(self) -> list[int]:
+        """Each instance's full dependence-cone size (Figure 4), capped.
+
+        Only Figure 4 and the reports read these, and the annotation never
+        does, so the cones are walked on first read rather than while
+        slicing.
+        """
+        if self.indexed is None:
+            return []
+        return [
+            dynamic_cone_size(self.indexed, dag.root_seq, self.max_nodes)
+            for dag in self.dags
+        ]
 
     @property
     def avg_dynamic_size(self) -> float:
@@ -127,7 +146,6 @@ def extract_slice(
     kind: str = "load",
     max_instances: int = 6,
     max_nodes_per_instance: int = 4096,
-    measure_dynamic: bool = True,
 ) -> Slice:
     """Extract and merge the slice of ``root_pc`` over sampled instances.
 
@@ -135,15 +153,12 @@ def extract_slice(
     code slices that refer to the same delinquent load instruction") so the
     static slice covers all paths that feed the root.
     """
-    result = Slice(root_pc=root_pc, kind=kind)
+    result = Slice(root_pc=root_pc, kind=kind, indexed=indexed,
+                   max_nodes=max_nodes_per_instance)
     for root_seq in indexed.sample_instances(root_pc, max_instances):
         dag, pcs = _slice_instance(indexed, root_seq, max_nodes_per_instance)
         result.dags.append(dag)
         result.pcs |= pcs
-        if measure_dynamic:
-            result.dynamic_sizes.append(
-                dynamic_cone_size(indexed, root_seq, max_nodes_per_instance)
-            )
     return result
 
 

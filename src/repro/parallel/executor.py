@@ -161,7 +161,9 @@ def run_cell_spec(spec: CellSpec) -> dict:
     """Simulate one cell and return its serialized result payload.
 
     Runs identically in-process and inside a pool worker: the workload is
-    rebuilt by name, and the *global* RNG is re-seeded deterministically
+    rebuilt by name (an interval cell reads its parent's from
+    :func:`repro.sampling.cells.parent_workload`, built by the same
+    builder), and the *global* RNG is re-seeded deterministically
     from the cell key first so any builder that (illegitimately) touched
     ``random`` module state would still behave reproducibly per cell rather
     than depending on worker scheduling history.
@@ -192,14 +194,14 @@ def run_cell_spec(spec: CellSpec) -> dict:
         if spec.critical_pcs is not None:
             critical = frozenset(spec.critical_pcs)
         else:
-            flow = run_crisp_flow(
+            # Only the PCs are kept: the flow's slices hold the train trace.
+            critical = run_crisp_flow(
                 spec.workload,
                 spec.crisp_config,
                 core_config=config,
                 scale=spec.scale,
                 engine=spec.engine,
-            )
-            critical = flow.critical_pcs
+            ).critical_pcs
 
     watchdog = None
     context = {"workload": spec.workload, "mode": spec.mode,
@@ -211,12 +213,14 @@ def run_cell_spec(spec: CellSpec) -> dict:
     elif spec.crash_dir is not None:
         watchdog = Watchdog(crash_dir=spec.crash_dir, context=context)
 
-    workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
     if spec.interval is not None:
         # Interval cell (repro.sampling): detailed-simulate only this
-        # trace range behind functionally warmed state.
+        # trace range behind functionally warmed state. The parent's
+        # workload and trace are shared with its other intervals.
+        from ..sampling.cells import parent_workload
         from ..sampling.sampler import simulate_interval
 
+        workload = parent_workload(spec.workload, spec.variant, spec.scale)
         result = simulate_interval(
             workload,
             spec.mode,
@@ -229,6 +233,7 @@ def run_cell_spec(spec: CellSpec) -> dict:
             engine=spec.engine,
         )
     else:
+        workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
         result = simulate(
             workload,
             spec.mode,
@@ -313,11 +318,14 @@ def run_cells(
     policy: RetryPolicy | None = None,
     stats: PoolStats | None = None,
     on_result=None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> list[CellResult]:
     """Run every cell; returns results in input order.
 
     ``jobs <= 1`` runs in-process (no pool, no pickling); higher values use
-    a process pool with at most ``jobs`` workers. ``on_result`` is called
+    a process pool with at most ``jobs`` workers: ``pool`` when the caller
+    passes one (it stays open for the caller to reuse and shut down),
+    otherwise a private pool for this call. ``on_result`` is called
     with each :class:`CellResult` *as it resolves* (completion order —
     run directories persist cells through it); the returned list is
     always in input order.
@@ -367,7 +375,7 @@ def run_cells(
         for item in pending:
             _run_serial(item, policy, stats, resolve)
     elif pending:
-        _run_pooled(pending, jobs, policy, stats, resolve)
+        _run_pooled(pending, jobs, policy, stats, resolve, pool)
 
     return results  # type: ignore[return-value]
 
@@ -412,7 +420,7 @@ def _crash_outcome() -> dict:
             "error": "worker process died mid-cell (pool broken)"}
 
 
-def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
+def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve, pool=None) -> None:
     """Pool driver with crash supervision and deterministic backoff.
 
     Three item pools: ``futures`` (in flight), ``deferred`` (waiting out a
@@ -422,8 +430,13 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
     cell is retried as a transient failure — or recorded as failed when
     its budget is spent. Configuration errors (``ValueError``) still
     propagate and abort the run.
+
+    A ``pool`` passed in belongs to the caller and is never shut down
+    here; a pool created here, first or as a respawn, is.
     """
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    owned = pool is None
+    if owned:
+        pool = ProcessPoolExecutor(max_workers=jobs)
     futures: dict = {}
     deferred: list[tuple[float, _Pending]] = []
 
@@ -476,8 +489,10 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
                     futures.clear()
                     stats.worker_crashes += len(lost)
                     stats.pool_rebuilds += 1
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    if owned:
+                        pool.shutdown(wait=False, cancel_futures=True)
                     pool = ProcessPoolExecutor(max_workers=jobs)
+                    owned = True
                     for lost_item in lost:
                         retry_or_fail(lost_item, _crash_outcome())
                     break
@@ -489,4 +504,5 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
                 _record_attempt_failure(outcome, stats)
                 retry_or_fail(item, outcome)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if owned:
+            pool.shutdown(wait=False, cancel_futures=True)

@@ -152,3 +152,22 @@ def test_extract_slices_kinds():
     assert [s.kind for s in slices] == ["load", "branch"]
     branch_slice = slices[1]
     assert 1 in branch_slice.pcs  # the branch depends on the load
+
+
+def test_lazy_dynamic_sizes_match_eager_cones():
+    a = Asm()
+    a.movi("r1", 1)
+    a.movi("r2", 0)
+    a.movi("r3", 200)
+    a.label("loop")
+    a.add("r1", "r1", "r1")
+    a.addi("r2", "r2", 1)
+    a.blt("r2", "r3", "loop")
+    a.halt()
+    t = indexed(a.build())
+    for max_nodes in (64, 4096):  # capped and uncapped cones
+        s = extract_slice(t, 3, max_instances=8, max_nodes_per_instance=max_nodes)
+        assert len(s.dags) == 8
+        eager = [dynamic_cone_size(t, d.root_seq, max_nodes) for d in s.dags]
+        assert s.dynamic_sizes == eager
+        assert s.avg_dynamic_size == sum(eager) / len(eager)
