@@ -8,7 +8,7 @@ branch slices (Section 5.3), and PEBS-sampling robustness (Section 3.2).
 
 from conftest import BENCH_SCALE
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def _pct(cell: str) -> float:
@@ -17,7 +17,7 @@ def _pct(cell: str) -> float:
 
 def test_ablation_ratio(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("ablation_ratio", scale=BENCH_SCALE),
+        lambda: get_experiment("ablation_ratio")(scale=BENCH_SCALE).run_inline(),
         rounds=1,
         iterations=1,
     )
@@ -29,7 +29,7 @@ def test_ablation_ratio(benchmark, record_result):
 
 def test_ablation_prefetchers(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("ablation_prefetchers", scale=BENCH_SCALE),
+        lambda: get_experiment("ablation_prefetchers")(scale=BENCH_SCALE).run_inline(),
         rounds=1,
         iterations=1,
     )
@@ -41,7 +41,7 @@ def test_ablation_prefetchers(benchmark, record_result):
 
 def test_ablation_perfect_bp(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("ablation_perfect_bp", scale=BENCH_SCALE),
+        lambda: get_experiment("ablation_perfect_bp")(scale=BENCH_SCALE).run_inline(),
         rounds=1,
         iterations=1,
     )
@@ -52,7 +52,7 @@ def test_ablation_perfect_bp(benchmark, record_result):
 
 def test_ablation_sampling(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("ablation_sampling", scale=BENCH_SCALE),
+        lambda: get_experiment("ablation_sampling")(scale=BENCH_SCALE).run_inline(),
         rounds=1,
         iterations=1,
     )

@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SCALE
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def _pct(cell: str) -> float:
@@ -11,7 +11,7 @@ def _pct(cell: str) -> float:
 
 def test_discussion_division(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("discussion_division", scale=BENCH_SCALE),
+        lambda: get_experiment("discussion_division")(scale=BENCH_SCALE).run_inline(),
         rounds=1,
         iterations=1,
     )

@@ -1,11 +1,13 @@
 """Bench: regenerate the Section 6.2 SMT criticality study."""
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def test_discussion_smt(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("discussion_smt", scale=1.0), rounds=1, iterations=1
+        lambda: get_experiment("discussion_smt")(scale=1.0).run_inline(),
+        rounds=1,
+        iterations=1,
     )
     record_result(result)
     rows = {row[0]: row for row in result.rows}

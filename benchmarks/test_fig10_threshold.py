@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SCALE, SWEEP_WORKLOADS
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 # perlbench is the fine-grained case: 60+ delinquent loads at ~1.6% miss
 # contribution each, so T=5% tags nothing while T=1% captures them all --
@@ -16,7 +16,8 @@ def _pct(cell: str) -> float:
 
 def test_fig10_threshold(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("fig10", scale=BENCH_SCALE, workloads=WORKLOADS),
+        lambda: get_experiment("fig10")(
+            scale=BENCH_SCALE, workloads=WORKLOADS).run_inline(),
         rounds=1,
         iterations=1,
     )

@@ -2,12 +2,14 @@
 
 from conftest import BENCH_SCALE
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def test_fig11_critical_count(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("fig11", scale=BENCH_SCALE), rounds=1, iterations=1
+        lambda: get_experiment("fig11")(scale=BENCH_SCALE).run_inline(),
+        rounds=1,
+        iterations=1,
     )
     record_result(result)
     by_name = {row[0]: row for row in result.rows}

@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SCALE
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def _pct(cell: str) -> float:
@@ -11,7 +11,9 @@ def _pct(cell: str) -> float:
 
 def test_fig12_footprint(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("fig12", scale=BENCH_SCALE), rounds=1, iterations=1
+        lambda: get_experiment("fig12")(scale=BENCH_SCALE).run_inline(),
+        rounds=1,
+        iterations=1,
     )
     record_result(result)
     mean = result.row_for("mean")

@@ -2,12 +2,14 @@
 
 from conftest import BENCH_SCALE
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def test_fig4_slice_size(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("fig4", scale=BENCH_SCALE), rounds=1, iterations=1
+        lambda: get_experiment("fig4")(scale=BENCH_SCALE).run_inline(),
+        rounds=1,
+        iterations=1,
     )
     record_result(result)
     by_name = {row[0]: row for row in result.rows}

@@ -8,7 +8,7 @@ memory (moses, namd) regardless of IST size.
 
 from conftest import BENCH_SCALE
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 MODES = ("crisp", "ibda-1k", "ibda-inf")
 
@@ -19,7 +19,7 @@ def _pct(cell: str) -> float:
 
 def test_fig7_ipc(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("fig7", scale=BENCH_SCALE, modes=MODES),
+        lambda: get_experiment("fig7")(scale=BENCH_SCALE, modes=MODES).run_inline(),
         rounds=1,
         iterations=1,
     )

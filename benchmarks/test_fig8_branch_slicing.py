@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SCALE, SWEEP_WORKLOADS
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def _pct(cell: str) -> float:
@@ -11,7 +11,8 @@ def _pct(cell: str) -> float:
 
 def test_fig8_branch_slicing(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("fig8", scale=BENCH_SCALE, workloads=SWEEP_WORKLOADS),
+        lambda: get_experiment("fig8")(
+            scale=BENCH_SCALE, workloads=SWEEP_WORKLOADS).run_inline(),
         rounds=1,
         iterations=1,
     )

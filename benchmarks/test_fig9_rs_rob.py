@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SCALE
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 WORKLOADS = ["xhpcg", "moses", "mcf", "pointer_chase"]
 
@@ -13,7 +13,8 @@ def _pct(cell: str) -> float:
 
 def test_fig9_rs_rob(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("fig9", scale=BENCH_SCALE, workloads=WORKLOADS),
+        lambda: get_experiment("fig9")(
+            scale=BENCH_SCALE, workloads=WORKLOADS).run_inline(),
         rounds=1,
         iterations=1,
     )

@@ -2,12 +2,14 @@
 
 from conftest import BENCH_SCALE
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def test_sec31_manual_prefetch(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("sec31", scale=BENCH_SCALE), rounds=1, iterations=1
+        lambda: get_experiment("sec31")(scale=BENCH_SCALE).run_inline(),
+        rounds=1,
+        iterations=1,
     )
     record_result(result)
     plain = result.rows[0][1]

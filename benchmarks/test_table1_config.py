@@ -1,11 +1,13 @@
 """Bench: regenerate Table 1 (simulated system)."""
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def test_table1(benchmark, record_result):
     result = benchmark.pedantic(
-        lambda: run_experiment("table1"), rounds=1, iterations=1
+        lambda: get_experiment("table1")().run_inline(),
+        rounds=1,
+        iterations=1,
     )
     record_result(result)
     assert result.row_for("ROB")[1] == "224 entries"

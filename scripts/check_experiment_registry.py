@@ -1,14 +1,13 @@
 #!/usr/bin/env python
 """Lint: the experiment registry is complete and documented.
 
-Three invariants (docs/ORCHESTRATION.md):
+Two invariants (docs/ORCHESTRATION.md):
 
-* every figure/table module in ``repro.experiments.EXPERIMENTS`` is
-  registered as an orchestration experiment (the registry auto-wraps
-  stragglers as ``legacy``, so this catches registration machinery rot);
-* registration is unique — one registry entry per experiment id (a
-  duplicate ``@register`` raises at import, which this lint surfaces as
-  a problem instead of a stack trace);
+* every figure module in ``src/repro/experiments/`` (all but
+  ``__init__.py`` and ``common.py``) registers exactly one experiment
+  once the registry is loaded — a module missing from the package's
+  imports registers none, and a duplicate ``@register`` name raises at
+  import, which this lint surfaces as a problem instead of a stack trace;
 * ``EXPERIMENTS.md``'s "Experiment index" table lists exactly the
   registered names, so ``python -m repro.orchestrate list`` and the docs
   cannot drift.
@@ -24,6 +23,8 @@ import re
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIGURES_DIR = REPO_ROOT / "src" / "repro" / "experiments"
+NOT_FIGURES = {"__init__", "common"}
 
 INDEX_HEADING = "## Experiment index"
 
@@ -49,21 +50,24 @@ def check(experiments_md: str | None = None) -> list[str]:
     """Return one problem string per registry/docs invariant violation."""
     problems = []
     try:
-        from repro import experiments
         from repro.orchestrate import registry
+
+        reg = registry()
     except ValueError as exc:  # duplicate @register raises ValueError
         return [f"experiment registry failed to build: {exc}"]
-
-    reg = registry()
-    module_ids = set(experiments.EXPERIMENTS)
     registered = set(reg)
 
-    for exp_id in sorted(module_ids - registered):
-        problems.append(
-            f"figure module {exp_id!r} is not in the orchestrate registry; "
-            "the auto-wrap in repro.orchestrate.experiment should have "
-            "covered it"
-        )
+    modules = [cls.__module__ for cls in reg.values()]
+    for path in sorted(FIGURES_DIR.glob("*.py")):
+        if path.stem in NOT_FIGURES:
+            continue
+        count = modules.count(f"repro.experiments.{path.stem}")
+        if count != 1:
+            problems.append(
+                f"figure module {path.stem!r} registers {count} experiments; "
+                "each must register exactly one (and be imported by "
+                "repro.experiments)"
+            )
 
     if experiments_md is None and not (REPO_ROOT / "EXPERIMENTS.md").is_file():
         problems.append("EXPERIMENTS.md is missing")

@@ -8,7 +8,8 @@ Commands:
 * ``diagnose``   -- ready->issue delay report under both schedulers
 * ``autotune``   -- per-application threshold tuning (Section 5.5)
 
-Experiments have their own CLI: ``python -m repro.experiments <id>``.
+Paper tables and figures run through the orchestration CLI:
+``python -m repro.orchestrate run --experiment <id>``.
 """
 
 from __future__ import annotations

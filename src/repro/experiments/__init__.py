@@ -1,12 +1,13 @@
 """One experiment module per paper table/figure.
 
-Registry maps experiment ids to their ``run`` callables; the CLI
-(``python -m repro.experiments <id> [--scale S] [--workloads a,b,c]``)
-renders the regenerated table. See DESIGN.md's per-experiment index and
-EXPERIMENTS.md for paper-vs-measured records.
+Importing this package registers every figure's
+:class:`~repro.orchestrate.Experiment` (one per module); run one with
+``python -m repro.orchestrate run --experiment <id>`` or, from Python,
+``get_experiment(id)(...).run_inline()``. See DESIGN.md's per-experiment
+index and EXPERIMENTS.md for paper-vs-measured records.
 """
 
-from . import (
+from . import (  # noqa: F401  (each module registers its experiment)
     ablation_perfect_bp,
     ablation_prefetchers,
     ablation_ratio,
@@ -27,35 +28,4 @@ from . import (
 )
 from .common import ExperimentResult
 
-EXPERIMENTS = {
-    "table1": table1_config,
-    "fig1": fig1_upc_timeline,
-    "sec31": sec31_motivating,
-    "fig4": fig4_slice_size,
-    "fig7": fig7_ipc,
-    "fig8": fig8_branch_slicing,
-    "fig9": fig9_rs_rob,
-    "fig10": fig10_threshold,
-    "fig11": fig11_critical_count,
-    "fig12": fig12_footprint,
-    # Extensions beyond the paper's figures (design-choice ablations).
-    "ablation_ratio": ablation_ratio,
-    "ablation_prefetchers": ablation_prefetchers,
-    "ablation_perfect_bp": ablation_perfect_bp,
-    "ablation_sampling": ablation_sampling,
-    "discussion_smt": discussion_smt,
-    "discussion_division": discussion_division,
-    # Multicore co-run headline (docs/MULTICORE.md).
-    "corun_interference": corun_interference,
-}
-
-__all__ = ["EXPERIMENTS", "ExperimentResult", "run_experiment"]
-
-
-def run_experiment(name: str, **kwargs) -> ExperimentResult:
-    """Run one experiment by id (see :data:`EXPERIMENTS`)."""
-    try:
-        module = EXPERIMENTS[name]
-    except KeyError:
-        raise ValueError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}") from None
-    return module.run(**kwargs)
+__all__ = ["ExperimentResult"]

@@ -7,11 +7,9 @@ filling the reservation station with reorderable work. This ablation
 measures the load-slice-only gain under TAGE and under an oracle predictor;
 the oracle gap is the headroom branch slices then recover on real hardware.
 
-Ported to a declarative :class:`~repro.orchestrate.Experiment`: the FDO
-flows (load-only and load+branch) run once per workload at plan time —
-on the default core, exactly as the legacy loop did — and their critical
-PCs pin each crisp instance explicitly, so every column is an ordinary
-cacheable cell; ``run()`` stays as the bit-identical shim.
+The FDO flows (load-only and load+branch) run once per workload at plan
+time, on the default core, and their critical PCs pin each crisp instance
+explicitly, so every column is an ordinary cacheable cell.
 """
 
 from __future__ import annotations
@@ -41,10 +39,9 @@ class PerfectBPAblation(Experiment):
     def _tagged(self, workload: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(load-only PCs, load+branch PCs), derived once per workload.
 
-        Plan-time work on the train input and the *default* core — the
-        legacy loop derived annotations once and reused them under both
-        predictors, so the port must too (deriving under the oracle core
-        could classify differently and change the numbers).
+        Plan-time work on the train input and the *default* core: one
+        annotation serves both predictors (deriving under the oracle core
+        could classify differently and confound the comparison).
         """
         if workload not in self._annotations:
             flow_load = run_crisp_flow(workload, LOAD_ONLY, scale=self.scale)
@@ -94,16 +91,3 @@ class PerfectBPAblation(Experiment):
         if self.seeds > 1:
             result.notes.append(f"median over {self.seeds} seed replicas per cell")
         return result
-
-
-def run(scale: float = 1.0, workloads: list[str] | None = None) -> ExperimentResult:
-    """Historical entry point; now a shim over the declarative port."""
-    return PerfectBPAblation(scale=scale, workloads=workloads).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

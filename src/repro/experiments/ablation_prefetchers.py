@@ -6,9 +6,8 @@ CRISP over these baselines was similar in comparison to BOP." CRISP targets
 the accesses no pattern prefetcher can cover, so its *relative* gain should
 persist whichever regular-pattern prefetcher runs underneath.
 
-Ported to a declarative :class:`~repro.orchestrate.Experiment`: one
-``ooo``/``crisp`` instance pair per prefetcher set, each pinning its
-hierarchy into the core config; ``run()`` stays as the shim.
+One ``ooo``/``crisp`` instance pair per prefetcher set, each pinning its
+hierarchy into the core config.
 """
 
 from __future__ import annotations
@@ -69,16 +68,3 @@ class PrefetcherAblation(Experiment):
                 f"median over {self.seeds} seed replicas per cell"
             )
         return result
-
-
-def run(scale: float = 1.0, workloads: list[str] | None = None) -> ExperimentResult:
-    """Historical entry point; now a shim over the declarative port."""
-    return PrefetcherAblation(scale=scale, workloads=workloads).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,11 +10,10 @@ towards 1.0. The gain must decay towards zero as the tag loses selectivity,
 which is also the paper's §6.2 denial-of-service observation (an attacker
 tagging everything gains nothing).
 
-Ported to a declarative :class:`~repro.orchestrate.Experiment` whose
-instances are *derived from the target*: each dilution level pins its
-tagged-PC set (computed from the target's own flow and execution profile)
-into the cell identity via ``critical_pcs``, so diluted cells cache and
-pool like any other cell. ``run()`` stays as the shim.
+The instances are *derived from the target*: each dilution level pins
+its tagged-PC set (computed from the target's own flow and execution
+profile) into the cell identity via ``critical_pcs``, so diluted cells
+cache and pool like any other cell.
 """
 
 from __future__ import annotations
@@ -126,22 +125,3 @@ class RatioAblation(Experiment):
                 f"median over {self.seeds} seed replicas per cell"
             )
         return result
-
-
-def run(
-    scale: float = 1.0,
-    workloads: list[str] | None = None,
-    targets: tuple = DEFAULT_TARGETS,
-) -> ExperimentResult:
-    """Historical entry point; now a shim over the declarative port."""
-    return RatioAblation(
-        scale=scale, workloads=workloads, ratio_targets=targets
-    ).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

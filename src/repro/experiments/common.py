@@ -1,10 +1,10 @@
 """Shared infrastructure for the per-figure experiment modules.
 
-Every experiment module exposes ``run(...) -> ExperimentResult`` whose rows
-regenerate one table/figure of the paper, and gets a CLI entry through
-``python -m repro.experiments <name>``. Absolute numbers come from this
-repo's simulator, not the authors' testbed; EXPERIMENTS.md records both and
-the *shape* comparison.
+Every experiment module registers one :class:`~repro.orchestrate.Experiment`
+whose table regenerates one table/figure of the paper as an
+:class:`ExperimentResult`; ``python -m repro.orchestrate run --experiment
+<name>`` runs it. Absolute numbers come from this repo's simulator, not the
+authors' testbed; EXPERIMENTS.md records both and the *shape* comparison.
 """
 
 from __future__ import annotations
@@ -14,16 +14,11 @@ from dataclasses import dataclass, field, replace
 
 from ..parallel.executor import CellResult, run_cells as _parallel_run_cells
 from ..resilience.policy import RetryPolicy
-from ..sim.comparison import geomean
-from ..workloads import suite_names
 
 __all__ = [
     "ExperimentResult",
-    "default_workloads",
     "execution_context",
     "format_pct",
-    "geomean",
-    "require_ipcs",
     "run_cells",
 ]
 
@@ -32,10 +27,9 @@ __all__ = [
 class ExecutionOptions:
     """How experiment cells execute (docs/PARALLEL.md).
 
-    Library callers get the in-process, uncached default — importing and
-    calling ``run(...)`` behaves exactly as before the parallel layer
-    existed. The CLI (and the benchmarks harness) widen this through
-    :func:`execution_context`.
+    Library callers get the in-process, uncached default: ``run_inline()``
+    simulates every cell in this process. ``execute_run`` (and the
+    benchmarks harness) widen this through :func:`execution_context`.
     """
 
     jobs: int = 1
@@ -119,14 +113,6 @@ def run_cells(specs, *, on_result=None) -> list[CellResult]:
     )
 
 
-def require_ipcs(specs) -> list[float]:
-    """Run cells and return their IPCs, raising if any cell failed."""
-    results = run_cells(specs)
-    for result in results:
-        result.require_stats()
-    return [result.ipc for result in results]
-
-
 @dataclass
 class ExperimentResult:
     """One regenerated table/figure."""
@@ -154,8 +140,8 @@ class ExperimentResult:
         """Render as a markdown table (the run-report companion format).
 
         Every ``experiments/fig*.py`` result is embeddable in an
-        observability report this way; ``python -m repro.experiments <id>
-        --markdown`` prints it.
+        observability report this way; ``python -m repro.orchestrate run
+        --experiment <id> --markdown`` prints it.
         """
         headers = [str(h) for h in self.headers]
         lines = [f"## {self.title}", ""]
@@ -196,8 +182,3 @@ def _fmt(value) -> str:
 def format_pct(ratio: float) -> str:
     """Render a speedup ratio as a percent-improvement string."""
     return f"{100.0 * (ratio - 1.0):+.1f}%"
-
-
-def default_workloads(workloads: list[str] | None) -> list[str]:
-    """Default to the full Figure 7 suite."""
-    return list(workloads) if workloads else suite_names()

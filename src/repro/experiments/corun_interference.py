@@ -164,16 +164,3 @@ class CoRunInterference(Experiment):
         if self.seeds > 1:
             result.notes.append(f"median over {self.seeds} seed replicas per cell")
         return result
-
-
-def run(scale: float = 1.0, workloads: list[str] | None = None) -> ExperimentResult:
-    """Run the co-run interference matrix inline (CLI entry point)."""
-    return CoRunInterference(scale=scale, workloads=workloads).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,12 +12,11 @@ that actually contends for the resources the mechanism touches:
   instructions slows the victim; reserving issue slots for non-critical
   instructions (the paper's proposed mitigation) restores it.
 
-Ported to a declarative :class:`~repro.orchestrate.Experiment`: each row
-is one SMT cell (:class:`~repro.multicore.smt.SmtCellSpec`) with its
-annotations pinned at plan time — the victim's CRISP PCs from the FDO
-flow, the attacker's everything-tagged set from its program length — so
-every row is an ordinary cacheable cell on the pool; ``run()`` stays as
-the bit-identical shim.
+Each row is one SMT cell (:class:`~repro.multicore.smt.SmtCellSpec`)
+with its annotations pinned at plan time — the victim's CRISP PCs from
+the FDO flow, the attacker's everything-tagged set from its program
+length — so every row is an ordinary cacheable cell on the pool. The
+pairings are fixed, so the experiment takes no workload selection.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ class DiscussionSmt(Experiment):
     name = "discussion_smt"
     title = "Section 6.2: SMT criticality (SLO enforcement and DoS)"
     default_workloads = (VICTIM,)
+    fixed_workloads = True
 
     def __init__(self, scale: float = 0.4, workloads: list[str] | None = None,
                  seeds: int = 1):
@@ -128,16 +128,3 @@ class DiscussionSmt(Experiment):
             "fairness guard must undo the DoS slowdown (Section 6.2)."
         )
         return result
-
-
-def run(scale: float = 0.4) -> ExperimentResult:
-    """Historical entry point; now a shim over the declarative port."""
-    return DiscussionSmt(scale=scale).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -7,9 +7,8 @@ tags loads that mostly hit, wasting the scheduler's priority budget. The
 paper finds T = 1% best overall, with per-application variation (moses
 prefers 2%) motivating its future-work iterative tuning.
 
-Ported to a declarative :class:`~repro.orchestrate.Experiment`: the
-baseline plus one crisp instance per threshold, each pinning its
-``CrispConfig`` into the cell identity; ``run()`` stays as the shim.
+The baseline plus one crisp instance per threshold, each pinning its
+``CrispConfig`` into the cell identity.
 """
 
 from __future__ import annotations
@@ -91,22 +90,3 @@ class Fig10Experiment(Experiment):
                 f"median over {self.seeds} seed replicas per cell"
             )
         return result
-
-
-def run(
-    scale: float = 1.0,
-    workloads: list[str] | None = None,
-    thresholds: tuple[float, ...] = THRESHOLDS,
-) -> ExperimentResult:
-    """Historical entry point; now a shim over the declarative port."""
-    return Fig10Experiment(
-        scale=scale, workloads=workloads, thresholds=thresholds
-    ).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

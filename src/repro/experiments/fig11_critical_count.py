@@ -7,51 +7,48 @@ KB of metadata, while CRISP stores one prefix byte per instruction inside
 the code itself. Our synthetic programs are orders of magnitude smaller
 than real SPEC binaries, so the reproduced claim is the *relative* pattern:
 the interpreter/compiler/translation workloads tag the most instructions.
+The counts come from the FDO flow alone, so the experiment plans no cells.
 """
 
 from __future__ import annotations
 
-from ..core.fdo import CrispConfig, run_crisp_flow
-from .common import ExperimentResult, default_workloads
+from ..core.fdo import run_crisp_flow
+from ..orchestrate import Experiment, register
+from .common import ExperimentResult
 
 
-def run(
-    scale: float = 1.0,
-    workloads: list[str] | None = None,
-    config: CrispConfig | None = None,
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="fig11",
-        title="Figure 11: total number of critical instructions",
-        headers=[
-            "workload",
-            "critical insts",
-            "program insts",
-            "static fraction",
-            "dynamic ratio",
-        ],
-    )
-    for name in default_workloads(workloads):
-        flow = run_crisp_flow(name, config, scale=scale)
-        program_len = len(flow.annotation.baseline_layout.sizes)
-        n_critical = flow.total_critical_instructions
-        result.add_row(
-            name,
-            n_critical,
-            program_len,
-            n_critical / program_len if program_len else 0.0,
-            flow.annotation.critical_ratio,
+@register
+class Fig11Experiment(Experiment):
+    """Per-workload tagged-instruction counts from the FDO flow."""
+
+    name = "fig11"
+    title = "Figure 11: total number of critical instructions"
+
+    def table(self, plan, results) -> ExperimentResult:
+        result = ExperimentResult(
+            experiment=self.name,
+            title=self.title,
+            headers=[
+                "workload",
+                "critical insts",
+                "program insts",
+                "static fraction",
+                "dynamic ratio",
+            ],
         )
-    result.notes.append(
-        "paper: perlbench/gcc/moses exceed 10k unique critical instructions "
-        "(real binaries); reproduced claim is the cross-workload ordering."
-    )
-    return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+        for name in self.workloads:
+            flow = run_crisp_flow(name, scale=self.scale)
+            program_len = len(flow.annotation.baseline_layout.sizes)
+            n_critical = flow.total_critical_instructions
+            result.add_row(
+                name,
+                n_critical,
+                program_len,
+                n_critical / program_len if program_len else 0.0,
+                flow.annotation.critical_ratio,
+            )
+        result.notes.append(
+            "paper: perlbench/gcc/moses exceed 10k unique critical instructions "
+            "(real binaries); reproduced claim is the cross-workload ordering."
+        )
+        return result

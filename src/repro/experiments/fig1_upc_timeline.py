@@ -6,80 +6,70 @@ between full-width bursts and long stall valleys at each linked-list miss,
 while CRISP shortens the valleys by starting the next miss under the
 current iteration's vector work. This experiment regenerates both series
 with a windowed UPC probe plus summary statistics (mean UPC and
-stall-valley share).
+stall-valley share). A cell stores no UPC timeline, so the experiment
+plans no cells.
 """
 
 from __future__ import annotations
 
 from ..core.fdo import run_crisp_flow
+from ..orchestrate import Experiment, register
 from ..sim.simulator import simulate
 from ..workloads.microbench import build_pointer_chase
 from .common import ExperimentResult, format_pct
 
+#: Cycles per UPC sample.
+WINDOW = 64
+#: A window retiring fewer UPC than this is a stall window.
+STALL_THRESHOLD = 0.5
 
-def run(
-    scale: float = 1.0,
-    *,
-    window: int = 64,
-    stall_threshold: float = 0.5,
-) -> ExperimentResult:
-    """Regenerate Figure 1. ``window`` = cycles per UPC sample."""
-    flow = run_crisp_flow(
-        "pointer_chase", train_workload=build_pointer_chase("train", scale)
-    )
-    ref = build_pointer_chase("ref", scale)
-    result = ExperimentResult(
-        experiment="fig1",
-        title="Figure 1: UPC timeline, OOO vs CRISP (pointer-chase microbenchmark)",
-        headers=["series", "mean UPC", "stall-window share", "windows", "UPC improvement"],
-    )
-    timelines = {}
-    for mode in ("ooo", "crisp"):
-        sim = simulate(
-            ref,
-            mode,
-            critical_pcs=flow.critical_pcs if mode == "crisp" else frozenset(),
-            upc_window=window,
+
+@register
+class Fig1Experiment(Experiment):
+    """Windowed UPC series of OOO and CRISP on the pointer chase."""
+
+    name = "fig1"
+    title = "Figure 1: UPC timeline, OOO vs CRISP (pointer-chase microbenchmark)"
+    default_workloads = ("pointer_chase",)
+    fixed_workloads = True
+
+    def table(self, plan, results) -> ExperimentResult:
+        flow = run_crisp_flow(
+            "pointer_chase",
+            train_workload=build_pointer_chase("train", self.scale),
         )
-        timelines[mode] = [count / window for count in sim.stats.upc_timeline]
-    base_upc = sum(timelines["ooo"]) / len(timelines["ooo"])
-    for mode in ("ooo", "crisp"):
-        series = timelines[mode]
-        mean_upc = sum(series) / len(series)
-        stall_share = sum(1 for u in series if u < stall_threshold) / len(series)
-        result.add_row(
-            mode.upper(),
-            mean_upc,
-            stall_share,
-            len(series),
-            format_pct(mean_upc / base_upc),
+        ref = build_pointer_chase("ref", self.scale)
+        result = ExperimentResult(
+            experiment=self.name,
+            title=self.title,
+            headers=["series", "mean UPC", "stall-window share", "windows",
+                     "UPC improvement"],
         )
-    result.notes.append(
-        f"windowed at {window} cycles; a 'stall window' retires < "
-        f"{stall_threshold} UPC. Paper reports >30% UPC improvement; shape "
-        "(shorter stall valleys under CRISP) is the reproduced claim."
-    )
-    result.notes.append(f"timeline lengths: {[len(t) for t in timelines.values()]}")
-    return result
-
-
-#: Raw series access for plotting/tests.
-def timelines(scale: float = 1.0, window: int = 64) -> dict[str, list[float]]:
-    flow = run_crisp_flow(
-        "pointer_chase", train_workload=build_pointer_chase("train", scale)
-    )
-    ref = build_pointer_chase("ref", scale)
-    out = {}
-    for mode in ("ooo", "crisp"):
-        crit = flow.critical_pcs if mode == "crisp" else frozenset()
-        sim = simulate(ref, mode, critical_pcs=crit, upc_window=window)
-        out[mode] = [count / window for count in sim.stats.upc_timeline]
-    return out
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+        timelines = {}
+        for mode in ("ooo", "crisp"):
+            sim = simulate(
+                ref,
+                mode,
+                critical_pcs=flow.critical_pcs if mode == "crisp" else frozenset(),
+                upc_window=WINDOW,
+            )
+            timelines[mode] = [count / WINDOW for count in sim.stats.upc_timeline]
+        base_upc = sum(timelines["ooo"]) / len(timelines["ooo"])
+        for mode in ("ooo", "crisp"):
+            series = timelines[mode]
+            mean_upc = sum(series) / len(series)
+            stall_share = sum(1 for u in series if u < STALL_THRESHOLD) / len(series)
+            result.add_row(
+                mode.upper(),
+                mean_upc,
+                stall_share,
+                len(series),
+                format_pct(mean_upc / base_upc),
+            )
+        result.notes.append(
+            f"windowed at {WINDOW} cycles; a 'stall window' retires < "
+            f"{STALL_THRESHOLD} UPC. Paper reports >30% UPC improvement; shape "
+            "(shorter stall valleys under CRISP) is the reproduced claim."
+        )
+        result.notes.append(f"timeline lengths: {[len(t) for t in timelines.values()]}")
+        return result

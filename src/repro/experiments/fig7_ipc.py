@@ -7,11 +7,8 @@ behind and regressing on several applications (moses: slices exceed the
 IST; namd/xhpcg: dependencies through memory; bwaves: wrong delinquent
 loads; fotonik/perlbench/moses: no critical-path filtering).
 
-Ported to a declarative :class:`~repro.orchestrate.Experiment`
-(docs/ORCHESTRATION.md): targets are the suite workloads (× seed
-replicas), instances are the baseline plus one column per mode. ``run()``
-stays as the historical shim — same signature, same table, bit-identical
-numbers for a single seed.
+Targets are the suite workloads (× seed replicas), instances are the
+baseline plus one column per mode (docs/ORCHESTRATION.md).
 """
 
 from __future__ import annotations
@@ -81,22 +78,3 @@ class Fig7Experiment(Experiment):
                 f"median over {self.seeds} seed replicas per cell"
             )
         return result
-
-
-def run(
-    scale: float = 1.0,
-    workloads: list[str] | None = None,
-    modes: tuple[str, ...] = DEFAULT_MODES,
-) -> ExperimentResult:
-    """Historical entry point; now a shim over the declarative port."""
-    return Fig7Experiment(
-        scale=scale, workloads=workloads, modes=modes
-    ).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

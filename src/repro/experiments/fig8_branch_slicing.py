@@ -6,16 +6,17 @@ hard-to-predict branches' slices shortens their resolution time and thus
 the misprediction penalty. The paper highlights deepsjeng/lbm/nab/namd as
 gaining >3% from branch slices alone, and cactus/lbm/perlbench/memcached as
 combining both kinds super-additively.
+
+Each slice kind is one crisp instance whose :class:`CrispConfig` enables
+it; the worker derives that annotation, so ``combined`` (the default
+config) is the same cell as fig7's ``crisp``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..core.fdo import CrispConfig, run_crisp_flow
-from ..sim.simulator import simulate
-from ..workloads import get_workload
-from .common import ExperimentResult, default_workloads, format_pct
+from ..core.fdo import CrispConfig
+from ..orchestrate import Experiment, Instance, register
+from .common import ExperimentResult, format_pct
 
 VARIANTS = (
     ("load slices", dict(use_load_slices=True, use_branch_slices=False)),
@@ -24,36 +25,38 @@ VARIANTS = (
 )
 
 
-def run(
-    scale: float = 1.0,
-    workloads: list[str] | None = None,
-    config: CrispConfig | None = None,
-) -> ExperimentResult:
-    base_config = config or CrispConfig()
-    result = ExperimentResult(
-        experiment="fig8",
-        title="Figure 8: load slices, branch slices, and their combination",
-        headers=["workload", "base IPC"] + [name for name, _ in VARIANTS],
-    )
-    for name in default_workloads(workloads):
-        ref = get_workload(name, "ref", scale)
-        base_ipc = simulate(ref, "ooo").ipc
-        row = [name, base_ipc]
-        for _, flags in VARIANTS:
-            flow = run_crisp_flow(name, replace(base_config, **flags), scale=scale)
-            ipc = simulate(ref, "crisp", critical_pcs=flow.critical_pcs).ipc
-            row.append(format_pct(ipc / base_ipc))
-        result.add_row(*row)
-    result.notes.append(
-        "paper: lbm/deepsjeng/nab/namd gain >3% from branch slices alone; "
-        "combining both matches or beats either alone."
-    )
-    return result
+@register
+class Fig8Experiment(Experiment):
+    """Baseline + one crisp instance per slice-kind flag set."""
 
+    name = "fig8"
+    title = "Figure 8: load slices, branch slices, and their combination"
 
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
+    def instances(self, target) -> list[Instance]:
+        return [Instance(name="ooo", mode="ooo")] + [
+            Instance(name=label, mode="crisp", crisp_config=CrispConfig(**flags))
+            for label, flags in VARIANTS
+        ]
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    def table(self, plan, results) -> ExperimentResult:
+        cells = self.results_map(plan, results)
+        result = ExperimentResult(
+            experiment=self.name,
+            title=self.title,
+            headers=["workload", "base IPC"] + [label for label, _ in VARIANTS],
+        )
+        for name in self.workloads:
+            base_ipc = self.ipc(cells, name, "ooo")
+            result.add_row(name, base_ipc, *[
+                format_pct(self.ipc(cells, name, label) / base_ipc)
+                for label, _ in VARIANTS
+            ])
+        result.notes.append(
+            "paper: lbm/deepsjeng/nab/namd gain >3% from branch slices alone; "
+            "combining both matches or beats either alone."
+        )
+        if self.seeds > 1:
+            result.notes.append(
+                f"median over {self.seeds} seed replicas per cell"
+            )
+        return result

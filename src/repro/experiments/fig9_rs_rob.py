@@ -7,9 +7,7 @@ xhpcg's gain roughly doubles with a 2x window, while moses peaks at the
 *small* window (a large ROB already helps its baseline, shrinking CRISP's
 relative headroom).
 
-Ported to a declarative :class:`~repro.orchestrate.Experiment`: each core
-sizing contributes an ``ooo``/``crisp`` instance pair; ``run()`` stays as
-the historical shim.
+Each core sizing contributes an ``ooo``/``crisp`` instance pair.
 """
 
 from __future__ import annotations
@@ -94,22 +92,3 @@ class Fig9Experiment(Experiment):
                 f"median over {self.seeds} seed replicas per cell"
             )
         return result
-
-
-def run(
-    scale: float = 1.0,
-    workloads: list[str] | None = None,
-    crisp_config: CrispConfig | None = None,
-) -> ExperimentResult:
-    """Historical entry point; now a shim over the declarative port."""
-    return Fig9Experiment(
-        scale=scale, workloads=workloads, crisp_config=crisp_config
-    ).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -6,40 +6,44 @@ next node raises IPC to 2.71 (+43%). The same experiment here builds the
 microbenchmark with and without the early next-pointer load + PREFETCH and
 runs both on the *baseline* OOO core (no CRISP involved): the manual
 prefetch hides the miss under the vector work, bounding what automatic
-criticality scheduling can recover.
+criticality scheduling can recover. The manual-prefetch kernel is not a
+registered workload, so the experiment plans no cells.
 """
 
 from __future__ import annotations
 
+from ..orchestrate import Experiment, register
 from ..sim.simulator import simulate
 from ..workloads.microbench import build_pointer_chase
 from .common import ExperimentResult, format_pct
 
 
-def run(scale: float = 1.0) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="sec31",
-        title="Section 3.1: manual software prefetch on the Figure 2 kernel",
-        headers=["kernel", "IPC", "vs plain"],
-    )
-    plain = simulate(build_pointer_chase("ref", scale), "ooo")
-    prefetched = simulate(
-        build_pointer_chase("ref", scale, manual_prefetch=True), "ooo"
-    )
-    result.add_row("plain (Figure 2)", plain.ipc, format_pct(1.0))
-    result.add_row(
-        "manual __builtin_prefetch", prefetched.ipc, format_pct(prefetched.ipc / plain.ipc)
-    )
-    result.notes.append(
-        "paper measured IPC 1.89 -> 2.71 (+43%) on real hardware; the "
-        "reproduced claim is the direction and rough magnitude of the jump."
-    )
-    return result
+@register
+class Sec31Experiment(Experiment):
+    """Plain vs manually prefetched Figure 2 kernel on the OOO core."""
 
+    name = "sec31"
+    title = "Section 3.1: manual software prefetch on the Figure 2 kernel"
+    default_workloads = ("pointer_chase",)
+    fixed_workloads = True
 
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    def table(self, plan, results) -> ExperimentResult:
+        result = ExperimentResult(
+            experiment=self.name,
+            title=self.title,
+            headers=["kernel", "IPC", "vs plain"],
+        )
+        plain = simulate(build_pointer_chase("ref", self.scale), "ooo")
+        prefetched = simulate(
+            build_pointer_chase("ref", self.scale, manual_prefetch=True), "ooo"
+        )
+        result.add_row("plain (Figure 2)", plain.ipc, format_pct(1.0))
+        result.add_row(
+            "manual __builtin_prefetch", prefetched.ipc,
+            format_pct(prefetched.ipc / plain.ipc),
+        )
+        result.notes.append(
+            "paper measured IPC 1.89 -> 2.71 (+43%) on real hardware; the "
+            "reproduced claim is the direction and rough magnitude of the jump."
+        )
+        return result

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from .experiment import (
     Experiment,
-    LegacyExperiment,
     PlannedCell,
     experiment_names,
     get_experiment,
@@ -48,7 +47,6 @@ from .target import Target
 __all__ = [
     "Experiment",
     "Instance",
-    "LegacyExperiment",
     "MANIFEST_VERSION",
     "PlannedCell",
     "RunIdentityError",

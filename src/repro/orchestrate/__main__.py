@@ -1,14 +1,14 @@
 """CLI: ``python -m repro.orchestrate {list,run,report}``.
 
-The declarative front door (docs/ORCHESTRATION.md): ``list`` prints the
-experiment registry, ``run`` lowers one experiment's Target × Instance
-selection to cells, executes them through the shared pool/cache/sampling
-stack, and writes a per-run result directory, ``report`` re-renders a
-run directory's tables without simulating.
+The one way to run an experiment (docs/ORCHESTRATION.md): ``list``
+prints the experiment registry, ``run`` lowers one experiment's Target ×
+Instance selection to cells, executes them through the shared
+pool/cache/sampling stack, and writes a per-run result directory,
+``report`` re-renders a run directory's tables without simulating.
 
-Execution flags are the same set every experiment CLI takes
-(docs/PARALLEL.md): ``--jobs``, ``--cache-dir``/``--no-cache``,
-``--sample``, ``--engine``; ``run`` adds the per-cell failure knobs of
+Execution flags (docs/PARALLEL.md): ``--jobs``,
+``--cache-dir``/``--no-cache``, ``--sample``, ``--engine``; ``run``
+adds the per-cell failure knobs of
 docs/RESILIENCE.md (``--retries``, ``--retry-backoff``, ``--deadline``,
 ``--cycle-budget``, ``--invariants``, ``--crash-dir``). ``run --resume``
 continues the latest (or named) run directory, simulating every cell
@@ -39,15 +39,14 @@ def build_cache(args):
 
 
 def cmd_list(args) -> int:
-    entries = []
-    for name, cls in sorted(registry().items()):
-        entries.append({"name": name, "kind": cls.kind, "title": cls.title})
+    entries = [{"name": name, "title": cls.title}
+               for name, cls in sorted(registry().items())]
     if args.json:
         print(json.dumps(entries, indent=1))
         return 0
     width = max(len(e["name"]) for e in entries)
     for entry in entries:
-        print(f"{entry['name']:<{width}}  {entry['kind']:<6}  {entry['title']}")
+        print(f"{entry['name']:<{width}}  {entry['title']}")
     return 0
 
 
@@ -146,7 +145,7 @@ def add_selection_args(parser) -> None:
     parser.add_argument(
         "--seeds", type=int, default=None, metavar="N",
         help="seed replicas per workload (ref, ref#1, ...); reports show "
-        "median/stdev over them (default: 1, bit-identical to legacy runs)",
+        "median/stdev over them (default: 1)",
     )
 
 

@@ -4,19 +4,16 @@ An :class:`Experiment` declares *what* to run — its targets (workloads ×
 seed replicas), its instances (mode/config columns), and how the resolved
 cells become a report table. *How* cells run (pool, cache, sampling,
 engine) stays in the execution layers; ``run_inline`` routes through
-:func:`repro.experiments.common.run_cells`, so the CLI's
-``--jobs/--cache-dir/--sample/--engine`` context applies unchanged.
+:func:`repro.experiments.common.run_cells`, so an active
+``execution_context`` (pool, cache, ``--sample``, ``--engine``) applies
+unchanged.
 
-Two kinds live in the registry:
-
-* ``matrix`` — a real declarative cross product that lowers to
-  :class:`~repro.parallel.cellkey.CellSpec` cells (fig7, fig9, fig10, the
-  prefetcher/ratio ablations, the ``suite`` matrix). Adding a scenario is
-  one registered class.
-* ``legacy`` — an auto-generated wrapper around a figure module whose
-  computation is not (yet) cell-shaped; it still lists, runs, and reports
-  through the same CLI, so the registry covers every experiment exactly
-  once (``scripts/check_experiment_registry.py``).
+Every paper table and figure is one registered class, reached by name
+through :func:`get_experiment` or ``python -m repro.orchestrate run
+--experiment NAME``. Most lower to :class:`~repro.parallel.cellkey.CellSpec`
+cells; an experiment whose figure needs data no cell carries (a core
+config, a UPC timeline, an FDO-only analysis) plans no cells and builds
+its figure in :meth:`Experiment.table`.
 """
 
 from __future__ import annotations
@@ -46,20 +43,22 @@ class PlannedCell:
 class Experiment:
     """Base class: a named selection over the cross product + a report.
 
-    Subclasses set ``name`` (the registry id) and ``title``, and implement
-    :meth:`instances`; :meth:`table` defaults to the generic per-workload
-    median-IPC matrix and is overridden by ported figure experiments to
-    regenerate their exact legacy tables.
+    Subclasses set ``name`` (the registry id) and ``title``, implement
+    :meth:`instances`, and override :meth:`table` to render their figure;
+    the default table is the generic per-workload median-IPC matrix. An
+    experiment that plans no cells computes its whole figure in
+    :meth:`table`.
     """
 
     #: Registry id (``fig7``, ``ablation_ratio``, ...). Must be unique.
     name: str = ""
     #: Human title used as the report heading.
     title: str = ""
-    #: ``matrix`` (lowers to cells) or ``legacy`` (wraps a figure module).
-    kind: str = "matrix"
     #: Default workload selection; ``None`` = the full Figure 7 suite.
     default_workloads: tuple[str, ...] | None = None
+    #: True when the figure is defined on ``default_workloads`` only;
+    #: any other workload selection is then a ``ValueError``.
+    fixed_workloads: bool = False
 
     def __init__(
         self,
@@ -69,6 +68,12 @@ class Experiment:
     ):
         self.scale = scale
         self._workloads_arg = list(workloads) if workloads else None
+        if (self.fixed_workloads and self._workloads_arg is not None
+                and self._workloads_arg != self.defaults()):
+            raise ValueError(
+                f"experiment {self.name!r} runs on {self.defaults()} only, "
+                f"not {self._workloads_arg}"
+            )
         self.workloads = self._workloads_arg or self.defaults()
         self.seeds = seeds
 
@@ -93,15 +98,13 @@ class Experiment:
         ]
 
     def instances(self, target: Target) -> list[Instance]:
-        """The instance columns for one target.
+        """The instance columns for one target (none: the plan is empty).
 
         Most experiments return the same list for every target; per-target
         instances exist for experiments whose annotation is derived from
         the target itself (``ablation_ratio``).
         """
-        raise NotImplementedError(
-            f"experiment {self.name!r} must implement instances()"
-        )
+        return []
 
     def plan(self) -> list[PlannedCell]:
         """The full lowered matrix, in deterministic target-major order."""
@@ -138,7 +141,7 @@ class Experiment:
 
         With a single seed this is *the* IPC, bit-identical to a direct
         run — ``statistics.median`` of one element returns it unchanged —
-        so ported experiments keep their exact legacy numbers.
+        so a single-seed table equals one built from direct runs.
         """
         ipcs = [
             cells[(workload, variant, instance)].require_stats().ipc
@@ -181,10 +184,9 @@ class Experiment:
     def run_inline(self):
         """Plan, run under the active execution context, and build the table.
 
-        This is the body of every ported figure module's ``run()`` shim:
-        library callers and ``python -m repro.experiments <id>`` keep their
-        historical behaviour (in-process by default, pool/cache/sampled
-        when an ``execution_context`` is active).
+        The library entry point (``get_experiment(name)(...).run_inline()``):
+        in-process by default, pool/cache/sampled when an
+        ``execution_context`` is active. No run directory is written.
         """
         from ..experiments.common import run_cells
 
@@ -193,50 +195,6 @@ class Experiment:
         for result in results:
             result.require_stats()
         return self.table(plan, results)
-
-
-# -- legacy wrappers -----------------------------------------------------------
-
-#: Figure modules whose run() takes no ``workloads`` selection.
-TAKES_NO_WORKLOADS = frozenset(
-    {"table1", "fig1", "sec31", "discussion_smt", "discussion_division"}
-)
-#: Figure modules whose run() takes no ``scale``.
-TAKES_NO_SCALE = frozenset({"table1"})
-
-
-class LegacyExperiment(Experiment):
-    """Auto-generated wrapper for a figure module without a declarative port.
-
-    It cannot lower to cells (``plan()`` is empty) but runs and reports
-    through the same CLI, with the execution context applied — modules
-    that internally use ``run_cells`` still get the pool and cache.
-    """
-
-    kind = "legacy"
-    #: The wrapped ``repro.experiments`` module (set by :func:`make_legacy`).
-    module = None
-
-    def plan(self) -> list[PlannedCell]:
-        return []
-
-    def run_inline(self):
-        kwargs = {}
-        if self.name not in TAKES_NO_SCALE:
-            kwargs["scale"] = self.scale
-        if self._workloads_arg and self.name not in TAKES_NO_WORKLOADS:
-            kwargs["workloads"] = list(self._workloads_arg)
-        return self.module.run(**kwargs)
-
-
-def make_legacy(exp_id: str, module) -> type[LegacyExperiment]:
-    """A LegacyExperiment subclass wrapping one figure module."""
-    doc = (module.__doc__ or exp_id).strip().splitlines()[0].rstrip(".")
-    return type(
-        f"Legacy_{exp_id}",
-        (LegacyExperiment,),
-        {"name": exp_id, "title": doc, "module": module},
-    )
 
 
 # -- registry ------------------------------------------------------------------
@@ -256,17 +214,13 @@ def register(cls: type[Experiment]) -> type[Experiment]:
 
 
 def _ensure_loaded() -> None:
-    """Import the figure modules (registering their declarative classes),
-    then wrap every remaining figure id as a LegacyExperiment."""
+    """Import the figure modules, each of which registers its experiment."""
     global _LOADED
     if _LOADED:
         return
-    from .. import experiments
+    from .. import experiments  # noqa: F401  (registers the figures)
     from ..workgen import grid  # noqa: F401  (registers property_grid)
 
-    for exp_id, module in experiments.EXPERIMENTS.items():
-        if exp_id not in _REGISTRY:
-            _REGISTRY[exp_id] = make_legacy(exp_id, module)
     _LOADED = True
 
 

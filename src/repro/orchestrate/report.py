@@ -1,8 +1,8 @@
 """Aggregated report tables: median/stdev over the seed axis.
 
-Every matrix experiment gets two views of one run:
+Every experiment that plans cells gets two views of one run:
 
-* its *figure table* (``Experiment.table``) — the exact legacy rendering,
+* its *figure table* (``Experiment.table``) — the paper figure,
   regenerated from resolved cells, and
 * the *aggregate table* built here — one row per (workload, instance)
   with n/median/stdev over seed replicas, the statistically honest view

@@ -108,7 +108,6 @@ def build_manifest(
     return {
         "manifest_version": MANIFEST_VERSION,
         "experiment": experiment.name,
-        "kind": experiment.kind,
         "title": experiment.title,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "args": experiment.args(),
@@ -163,17 +162,12 @@ def verify_identity(manifest: dict, fresh: dict, *, path: str = "") -> None:
     resume/report can never silently mix instances.
     """
     problems = []
-    for field in ("experiment", "kind"):
+    for field in ("experiment", "args"):
         if manifest.get(field) != fresh.get(field):
             problems.append(
                 f"{field}: run dir has {manifest.get(field)!r}, "
                 f"this invocation is {fresh.get(field)!r}"
             )
-    if manifest.get("args") != fresh.get("args"):
-        problems.append(
-            f"args: run dir has {manifest.get('args')!r}, "
-            f"this invocation is {fresh.get('args')!r}"
-        )
     stored = manifest.get("instance", {})
     current = fresh.get("instance", {})
     for field in ("engine", "sample", "cache_schema", "target_identity"):

@@ -110,7 +110,6 @@ def _write_reports(run_dir: Path, manifest: dict, figure, aggregate,
     """Write report.md / report.json; returns the report dict."""
     report = {
         "experiment": manifest["experiment"],
-        "kind": manifest["kind"],
         "title": manifest["title"],
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "identity": manifest["instance"],
@@ -211,18 +210,6 @@ def execute_run(
         manifest = fresh_manifest
         atomic_write_json(manifest_path(path), manifest)
 
-    if not plan:
-        # Legacy experiment: not cell-shaped; run it whole under the same
-        # execution context and persist only the rendered report.
-        with execution_context(jobs=jobs, cache=cache, policy=policy,
-                               sample=sample, engine=engine):
-            figure = experiment.run_inline()
-        manifest["status"] = "complete"
-        atomic_write_json(manifest_path(path), manifest)
-        report = _write_reports(path, manifest, figure, None, None, [])
-        return {"run_dir": str(path), "failed": 0, "figure": figure,
-                "aggregate": None, "report": report}
-
     # Index plan positions by key (duplicate specs share one stored cell).
     by_key: dict[str, list[int]] = {}
     for index, cell in enumerate(plan):
@@ -260,7 +247,9 @@ def execute_run(
                 results[index] = result
 
     failed = _failed_rows(plan, results)
-    manifest["status"] = "complete" if not failed else "partial"
+    # "partial" until the report exists: a table() that raises leaves a
+    # run that --resume finishes.
+    manifest["status"] = "partial"
     manifest["cells_done"] = len(plan) - len(failed)
     if cache is not None:
         manifest["cache"] = {
@@ -270,14 +259,27 @@ def execute_run(
         }
     atomic_write_json(manifest_path(path), manifest)
 
-    figure = None
+    report, figure, aggregate = _render(path, manifest, experiment, plan,
+                                        results, failed)
     if not failed:
-        figure = experiment.table(plan, results)
-    aggregate = aggregate_table(experiment, plan, results)
-    agg_rows = aggregate_rows(plan, results)
-    report = _write_reports(path, manifest, figure, aggregate, agg_rows, failed)
+        manifest["status"] = "complete"
+        atomic_write_json(manifest_path(path), manifest)
     return {"run_dir": str(path), "failed": len(failed), "figure": figure,
             "aggregate": aggregate, "report": report}
+
+
+def _render(path: Path, manifest: dict, experiment: Experiment,
+            plan: list[PlannedCell], results: list[CellResult | None],
+            failed: list[dict]):
+    """Build the figure (and, for a run with cells, the aggregate table)
+    and write both reports; returns ``(report, figure, aggregate)``."""
+    figure = None if failed else experiment.table(plan, results)
+    aggregate = agg_rows = None
+    if plan:
+        aggregate = aggregate_table(experiment, plan, results)
+        agg_rows = aggregate_rows(plan, results)
+    report = _write_reports(path, manifest, figure, aggregate, agg_rows, failed)
+    return report, figure, aggregate
 
 
 def recorded_experiment(manifest: dict) -> Experiment:
@@ -304,19 +306,18 @@ def report_run(run_dir: str | Path) -> dict:
         )
 
     experiment = recorded_experiment(manifest)
-
-    if manifest.get("kind") == "legacy" or not manifest.get("cells"):
-        # Re-render the stored report (legacy runs keep no cells).
-        with open(path / "report.json") as handle:
-            report = json.load(handle)
-        return report
-
     plan = experiment.plan()
     fresh = build_manifest(
         experiment, plan,
         engine=identity.get("engine"), sample=identity.get("sample", "off"),
     )
     verify_identity(manifest, fresh, path=str(path))
+
+    if not plan:
+        # A cell-less experiment computed its figure in table(); no cell
+        # holds its inputs, so replay the stored report.
+        with open(path / "report.json") as handle:
+            return json.load(handle)
 
     stored = load_cells(path)
     results: list[CellResult | None] = []
@@ -326,9 +327,4 @@ def report_run(run_dir: str | Path) -> dict:
             _result_from_payload(cell, payload) if payload is not None else None
         )
     failed = _failed_rows(plan, results)
-    figure = None
-    if not failed:
-        figure = experiment.table(plan, results)
-    aggregate = aggregate_table(experiment, plan, results)
-    agg_rows = aggregate_rows(plan, results)
-    return _write_reports(path, manifest, figure, aggregate, agg_rows, failed)
+    return _render(path, manifest, experiment, plan, results, failed)[0]

@@ -271,8 +271,7 @@ def parse_experiment(req: dict) -> tuple[str, dict, str | None, str]:
     ``kwargs`` are the experiment's constructor arguments (scale,
     workloads, seeds) — the same JSON shape a run manifest records as
     ``args``. The experiment name is checked against the orchestration
-    registry, and only matrix experiments are accepted (legacy wrappers
-    do not lower to cells the server can schedule).
+    registry; the server rejects an experiment that plans no cells.
     """
     name = _require(req, "experiment", str)
     from ..orchestrate import registry  # local import: registration is heavy
@@ -281,13 +280,6 @@ def parse_experiment(req: dict) -> tuple[str, dict, str | None, str]:
     if name not in reg:
         raise ProtocolError(
             f"unknown experiment {name!r}; known: {sorted(reg)}",
-            code=E_BAD_REQUEST,
-        )
-    if reg[name].kind != "matrix":
-        raise ProtocolError(
-            f"experiment {name!r} is {reg[name].kind!r}, not 'matrix'; only "
-            "matrix experiments lower to schedulable cells — run it via "
-            "python -m repro.orchestrate instead",
             code=E_BAD_REQUEST,
         )
     kwargs: dict = {}

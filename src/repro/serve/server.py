@@ -558,6 +558,11 @@ class SimServer:
             except ValueError as exc:
                 raise ProtocolError(
                     str(exc), code=protocol.E_BAD_REQUEST) from exc
+            if not plan:
+                raise ProtocolError(
+                    f"experiment {name!r} plans no cells to schedule; run "
+                    "it with python -m repro.orchestrate run",
+                    code=protocol.E_BAD_REQUEST)
             specs = [cell.spec for cell in plan]
             if extras:
                 # Execution-only fields: no cell key moves.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import classify_stalling_instructions, profile_workload
-from repro.experiments.discussion_division import run as run_division
+from repro.orchestrate import get_experiment
 from repro.workloads import build_div_chain
 
 
@@ -38,7 +38,7 @@ def test_no_roots_without_stalls(div_profile):
 
 
 def test_division_prioritisation_end_to_end():
-    result = run_division(scale=0.3)
+    result = get_experiment("discussion_division")(scale=0.3).run_inline()
     base_ipc = result.rows[0][1]
     crisp_ipc = result.rows[1][1]
     assert crisp_ipc > 1.1 * base_ipc, "division slices must pay off clearly"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def _pct(cell: str) -> float:
@@ -10,7 +10,8 @@ def _pct(cell: str) -> float:
 
 
 def test_ratio_dilution_decays_gain():
-    result = run_experiment("ablation_ratio", scale=0.35, workloads=["moses"])
+    result = get_experiment("ablation_ratio")(
+        scale=0.35, workloads=["moses"]).run_inline()
     row = result.row_for("moses")
     real = _pct(row[1])
     fully_diluted = _pct(row[-1])  # ratio >= 100%: everything critical
@@ -20,9 +21,8 @@ def test_ratio_dilution_decays_gain():
 
 
 def test_prefetcher_ablation_reports_all_sets():
-    result = run_experiment(
-        "ablation_prefetchers", scale=0.35, workloads=["pointer_chase"]
-    )
+    result = get_experiment("ablation_prefetchers")(
+        scale=0.35, workloads=["pointer_chase"]).run_inline()
     row = result.row_for("pointer_chase")
     assert len(row) == 5  # name + 4 prefetcher sets
     # CRISP gains in every configuration.
@@ -32,9 +32,8 @@ def test_prefetcher_ablation_reports_all_sets():
 
 
 def test_perfect_bp_bounds_branch_slice_headroom():
-    result = run_experiment(
-        "ablation_perfect_bp", scale=0.4, workloads=["lbm", "deepsjeng"]
-    )
+    result = get_experiment("ablation_perfect_bp")(
+        scale=0.4, workloads=["lbm", "deepsjeng"]).run_inline()
     # deepsjeng carries real load slices whose payoff grows once branches
     # resolve early (the oracle predictor) -- Section 5.3's observation.
     sjeng = result.row_for("deepsjeng")
@@ -48,7 +47,8 @@ def test_perfect_bp_bounds_branch_slice_headroom():
 
 
 def test_sampling_keeps_classification_stable():
-    result = run_experiment("ablation_sampling", scale=0.35, workloads=["mcf"])
+    result = get_experiment("ablation_sampling")(
+        scale=0.35, workloads=["mcf"]).run_inline()
     row = result.row_for("mcf")
     assert float(row[1]) == 1.0  # period 1 == exact
     assert float(row[2]) >= 0.5  # period 4 keeps most of the set

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.common import ExperimentResult, format_pct
+from repro.orchestrate import get_experiment, registry
 
 FAST_WORKLOADS = ["mcf", "lbm"]
 
@@ -18,19 +18,19 @@ def test_registry_covers_all_paper_artifacts():
         "ablation_sampling",
     }
     discussion = {"discussion_smt", "discussion_division"}
-    extensions = {"corun_interference"}
-    assert set(EXPERIMENTS) == (
+    extensions = {"corun_interference", "suite", "property_grid"}
+    assert set(registry()) == (
         paper_artifacts | ablations | discussion | extensions
     )
 
 
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError, match="unknown experiment"):
-        run_experiment("fig99")
+        get_experiment("fig99")
 
 
 def test_table1_renders():
-    result = run_experiment("table1")
+    result = get_experiment("table1")().run_inline()
     text = result.to_text()
     assert "224 entries" in text
     assert "DDR4-2400" in text
@@ -53,7 +53,8 @@ def test_result_table_accessors():
 
 
 def test_fig4_small():
-    result = run_experiment("fig4", scale=0.3, workloads=FAST_WORKLOADS)
+    result = get_experiment("fig4")(
+        scale=0.3, workloads=FAST_WORKLOADS).run_inline()
     assert len(result.rows) == 2
     by_name = {row[0]: row for row in result.rows}
     # mcf's chase has real slices; lbm's loads are streams (no delinquent
@@ -63,37 +64,39 @@ def test_fig4_small():
 
 
 def test_fig7_small():
-    result = run_experiment(
-        "fig7", scale=0.3, workloads=["mcf"], modes=("crisp", "ibda-1k")
-    )
+    result = get_experiment("fig7")(
+        scale=0.3, workloads=["mcf"], modes=("crisp", "ibda-1k")
+    ).run_inline()
     assert result.rows[-1][0] == "geomean"
     assert "crisp gain" in result.headers[2]
 
 
 def test_fig10_small():
-    result = run_experiment("fig10", scale=0.3, workloads=["mcf"], thresholds=(0.01,))
+    result = get_experiment("fig10")(
+        scale=0.3, workloads=["mcf"], thresholds=(0.01,)).run_inline()
     assert len(result.rows) == 2  # workload + geomean
 
 
 def test_fig11_small():
-    result = run_experiment("fig11", scale=0.3, workloads=FAST_WORKLOADS)
+    result = get_experiment("fig11")(
+        scale=0.3, workloads=FAST_WORKLOADS).run_inline()
     counts = result.column("critical insts")
     assert all(isinstance(c, int) for c in counts)
 
 
 def test_fig12_small():
-    result = run_experiment("fig12", scale=0.3, workloads=["mcf"])
+    result = get_experiment("fig12")(scale=0.3, workloads=["mcf"]).run_inline()
     assert result.rows[-1][0] == "mean"
 
 
 def test_sec31_direction():
-    result = run_experiment("sec31", scale=0.4)
+    result = get_experiment("sec31")(scale=0.4).run_inline()
     plain_ipc = result.rows[0][1]
     prefetch_ipc = result.rows[1][1]
     assert prefetch_ipc > plain_ipc
 
 
 def test_fig1_produces_timelines():
-    result = run_experiment("fig1", scale=0.3)
+    result = get_experiment("fig1")(scale=0.3).run_inline()
     assert [row[0] for row in result.rows] == ["OOO", "CRISP"]
     assert all(row[3] > 10 for row in result.rows)  # windows counted

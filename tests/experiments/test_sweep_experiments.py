@@ -1,6 +1,6 @@
 """Small-scale smoke tests for the sweep experiments (fig8/fig9/SMT)."""
 
-from repro.experiments import run_experiment
+from repro.orchestrate import get_experiment
 
 
 def _pct(cell: str) -> float:
@@ -8,7 +8,7 @@ def _pct(cell: str) -> float:
 
 
 def test_fig8_small_scale():
-    result = run_experiment("fig8", scale=0.3, workloads=["lbm"])
+    result = get_experiment("fig8")(scale=0.3, workloads=["lbm"]).run_inline()
     row = result.row_for("lbm")
     load_col = result.headers.index("load slices")
     branch_col = result.headers.index("branch slices")
@@ -16,7 +16,7 @@ def test_fig8_small_scale():
 
 
 def test_fig9_small_scale():
-    result = run_experiment("fig9", scale=0.3, workloads=["mcf"])
+    result = get_experiment("fig9")(scale=0.3, workloads=["mcf"]).run_inline()
     row = result.row_for("mcf")
     # Gains at every window size, within noise of each other for mcf.
     gains = [_pct(cell) for cell in row[1:]]
@@ -24,7 +24,7 @@ def test_fig9_small_scale():
 
 
 def test_discussion_smt_small_scale():
-    result = run_experiment("discussion_smt", scale=0.4)
+    result = get_experiment("discussion_smt")(scale=0.4).run_inline()
     rows = {row[0]: row for row in result.rows}
     assert len(rows) == 6
     # SLO priority must not slow the latency thread.

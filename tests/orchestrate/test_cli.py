@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 
+from repro.orchestrate import experiment_names
 from repro.orchestrate.__main__ import main
 from repro.sim.simulator import resolve_engine
 
@@ -15,18 +16,19 @@ def run_cli(*argv) -> int:
 
 def test_list_prints_the_whole_registry(capsys):
     assert run_cli("list") == 0
-    out = capsys.readouterr().out
-    for name in ("fig7", "fig9", "fig10", "suite", "table1"):
-        assert name in out
-    assert "matrix" in out and "legacy" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == experiment_names()
+    assert any(line.startswith("table1") and "Table 1" in line
+               for line in lines)
 
 
 def test_list_json_is_machine_readable(capsys):
     assert run_cli("list", "--json") == 0
     entries = json.loads(capsys.readouterr().out)
     by_name = {e["name"]: e for e in entries}
-    assert by_name["suite"]["kind"] == "matrix"
-    assert by_name["table1"]["kind"] == "legacy"
+    assert sorted(by_name) == experiment_names()
+    assert by_name["suite"] == {
+        "name": "suite", "title": "Suite matrix: IPC per workload x mode"}
 
 
 def test_run_resume_report_flow(tmp_path, capsys):
@@ -87,3 +89,13 @@ def test_run_writes_cells_incrementally(tmp_path):
         payload = json.loads(cell.read_text())
         assert payload["status"] == "done"
         assert payload["workload"] == "pointer_chase"
+
+
+def test_fixed_workload_experiment_with_a_selection_is_an_error(tmp_path,
+                                                                capsys):
+    assert run_cli("run", "--experiment", "discussion_smt", "--workloads",
+                   "mcf", "--scale", "0.05", "--out", str(tmp_path / "runs"),
+                   "--no-cache") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()  # refused before any run dir

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.orchestrate import (
@@ -104,16 +106,28 @@ def test_args_round_trip_reproduces_the_plan():
     assert [c.key for c in rebuilt.plan()] == [c.key for c in exp.plan()]
 
 
+#: Experiments whose figure needs data no cell carries: they plan no
+#: cells and compute the figure in table().
+CELL_LESS = {"table1", "fig1", "sec31", "fig4", "fig11", "ablation_sampling"}
+
+
 def test_registry_covers_every_figure_module_exactly_once():
-    from repro import experiments as figure_modules
+    import repro.experiments as figure_modules
 
     reg = registry()
-    assert set(figure_modules.EXPERIMENTS) <= set(reg)
     assert experiment_names() == sorted(reg)
-    # Ported experiments are matrix; unported ones wrap as legacy.
-    assert reg["fig7"].kind == "matrix"
-    assert reg["suite"].kind == "matrix"
-    assert reg["table1"].kind == "legacy"
+    figure_dir = pathlib.Path(figure_modules.__file__).parent
+    modules = sorted(
+        f"repro.experiments.{path.stem}"
+        for path in figure_dir.glob("*.py")
+        if path.stem not in ("__init__", "common")
+    )
+    registered = sorted(
+        cls.__module__ for cls in reg.values()
+        if cls.__module__.startswith("repro.experiments.")
+    )
+    assert registered == modules
+    assert not hasattr(reg["fig7"], "kind")
 
 
 def test_get_experiment_rejects_unknown_names():
@@ -122,13 +136,24 @@ def test_get_experiment_rejects_unknown_names():
 
 
 def test_matrix_experiments_plan_and_round_trip():
-    """Every registered matrix experiment lowers to a non-empty plan whose
-    args round-trip through the manifest shape."""
+    """Every registered experiment, on its own default workloads, plans
+    cells (or none, for the cell-less ones) whose keys round-trip through
+    the manifest's args."""
     for name, cls in registry().items():
-        if cls.kind != "matrix":
-            continue
-        exp = cls(scale=0.1, workloads=["mcf"])
+        exp = cls(scale=0.1)
         plan = exp.plan()
-        assert plan, f"{name} planned no cells"
+        assert bool(plan) == (name not in CELL_LESS), name
         rebuilt = cls(**exp.args())
         assert [c.key for c in rebuilt.plan()] == [c.key for c in plan], name
+
+
+@pytest.mark.parametrize("name", [
+    "discussion_smt", "discussion_division", "fig1", "sec31", "table1",
+])
+def test_fixed_workload_experiments_reject_a_workload_selection(name):
+    cls = get_experiment(name)
+    with pytest.raises(ValueError, match="only"):
+        cls(scale=0.05, workloads=["mcf"])
+    # Naming the experiment's own workloads is no selection at all.
+    defaults = cls().defaults()
+    assert cls(scale=0.05, workloads=defaults).workloads == defaults

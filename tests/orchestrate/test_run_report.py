@@ -2,24 +2,30 @@
 
 Cells use pointer_chase at scale 0.05 so a fresh simulation costs well
 under a second; the fig7 equivalence test is the acceptance property that
-the orchestrated path reproduces the legacy figure bit-identically.
+a run directory's figure is bit-identical to ``run_inline()``'s.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import types
 
 import pytest
 
-from repro.orchestrate import RunIdentityError, execute_run, report_run
-from repro.orchestrate.experiment import (
-    SuiteMatrix,
-    _REGISTRY,
-    make_legacy,
+from repro.orchestrate import (
+    RunIdentityError,
+    build_manifest,
+    execute_run,
+    get_experiment,
+    report_run,
 )
-from repro.orchestrate.rundir import load_manifest, manifest_path
+from repro.orchestrate.experiment import SuiteMatrix
+from repro.orchestrate.rundir import (
+    atomic_write_json,
+    load_manifest,
+    manifest_path,
+    new_run_dir,
+)
 from repro.parallel import ResultCache
 from repro.parallel.cellkey import CACHE_SCHEMA_VERSION
 from repro.sim.simulator import resolve_engine
@@ -50,7 +56,7 @@ def test_fresh_run_writes_the_full_directory(tmp_path):
     manifest = load_manifest(run_dir)
     assert manifest["status"] == "complete"
     assert manifest["experiment"] == "suite"
-    assert manifest["kind"] == "matrix"
+    assert "kind" not in manifest
     # The full execution identity is recorded.
     identity = manifest["instance"]
     assert identity["engine"] == resolve_engine(None)
@@ -61,6 +67,7 @@ def test_fresh_run_writes_the_full_directory(tmp_path):
     assert {p.stem for p in cells} == set(manifest["cells"])
     assert (run_dir / "report.md").is_file()
     report = json.loads((run_dir / "report.json").read_text())
+    assert "kind" not in report
     assert report["identity"] == identity
     assert report["figure"]["headers"][0] == "workload"
     assert summary["figure"].row_for("pointer_chase")
@@ -199,55 +206,110 @@ def test_report_rejects_a_foreign_cache_schema(tmp_path):
         report_run(summary["run_dir"])
 
 
-# -- legacy experiments --------------------------------------------------------
+# -- status and old run dirs ----------------------------------------------------
 
 
-def fake_legacy_class():
-    def run(scale=1.0, workloads=None):
-        from repro.experiments.common import ExperimentResult
+def test_a_table_that_raises_leaves_the_run_partial(tmp_path, monkeypatch):
+    """The manifest says ``complete`` only once the report is written."""
 
-        result = ExperimentResult(
-            experiment="fake_legacy", title="fake", headers=["workload", "x"])
-        result.add_row("mcf", 1.0)
-        return result
+    def broken(self, plan, results):
+        raise RuntimeError("figure failed")
 
-    module = types.SimpleNamespace(run=run, __doc__="Fake legacy experiment.")
-    return make_legacy("fake_legacy", module)
+    monkeypatch.setattr(SuiteMatrix, "table", broken)
+    with pytest.raises(RuntimeError, match="figure failed"):
+        execute_run(cheap_experiment(), out=tmp_path / "runs")
+    run_dir = tmp_path / "runs" / "suite" / "run-001"
+    manifest = load_manifest(run_dir)
+    assert manifest["status"] == "partial"
+    assert manifest["cells_done"] == 1
+    assert not (run_dir / "report.md").exists()
+    assert not (run_dir / "report.json").exists()
+
+    # --resume renders the figure from the stored cells, simulating nothing.
+    monkeypatch.undo()
+    simulated = []
+    summary = execute_run(
+        cheap_experiment(), out=tmp_path / "runs", resume=True,
+        on_cell=lambda key, result: simulated.append(key))
+    assert simulated == []
+    assert summary["figure"].row_for("pointer_chase")
+    assert load_manifest(run_dir)["status"] == "complete"
 
 
-def test_legacy_experiment_runs_whole_and_reports(tmp_path, monkeypatch):
-    cls = fake_legacy_class()
-    monkeypatch.setitem(_REGISTRY, "fake_legacy", cls)
-    summary = execute_run(cls(scale=FAST), out=tmp_path / "runs")
+def test_a_run_dir_recording_kind_still_resumes(tmp_path):
+    """Run dirs written before ``kind`` left the manifest stay resumable."""
+    first = execute_run(cheap_experiment(modes=("ooo", "crisp")),
+                        out=tmp_path / "runs")
+    path = manifest_path(first["run_dir"])
+    manifest = json.loads(path.read_text())
+    manifest["kind"] = "matrix"
+    path.write_text(json.dumps(manifest))
+    victim = next(key for key, meta in manifest["cells"].items()
+                  if meta["instance"] == "crisp")
+    (pathlib.Path(first["run_dir"]) / "cells" / f"{victim}.json").unlink()
+
+    simulated = []
+    summary = execute_run(
+        cheap_experiment(modes=("ooo", "crisp")), out=tmp_path / "runs",
+        resume=True, on_cell=lambda key, result: simulated.append(key))
+    assert simulated == [victim]
+    assert summary["failed"] == 0
+
+
+def test_a_cell_less_fig8_run_dir_is_refused_by_resume(tmp_path):
+    """fig8 used to run whole, storing no cells; it now plans cells, so
+    such a run dir fails the cell-key-set check instead of resuming."""
+    fig8 = get_experiment("fig8")(scale=FAST, workloads=["pointer_chase"])
+    run_dir = new_run_dir(tmp_path / "runs", "fig8")
+    manifest = build_manifest(fig8, [])  # what a cell-less run recorded
+    manifest.update(kind="legacy", status="complete")
+    atomic_write_json(manifest_path(run_dir), manifest)
+
+    with pytest.raises(RunIdentityError, match="4 newly planned"):
+        execute_run(fig8, run_dir=run_dir, resume=True)
+
+
+# -- experiments that plan no cells --------------------------------------------
+
+
+def test_cell_less_experiment_runs_whole_and_reports(tmp_path, monkeypatch):
+    summary = execute_run(get_experiment("table1")(), out=tmp_path / "runs")
     manifest = load_manifest(summary["run_dir"])
-    assert manifest["kind"] == "legacy"
     assert manifest["status"] == "complete"
-    assert manifest["cells"] == {}  # not cell-shaped
-    assert summary["figure"].rows == [["mcf", 1.0]]
-    # report_run replays the stored report without re-running the module.
+    assert manifest["cells"] == {}
+    assert summary["figure"].row_for("ROB") == ["ROB", "224 entries"]
+    # The figure only: no empty aggregate table.
+    assert summary["aggregate"] is None
+    stored = json.loads(
+        (pathlib.Path(summary["run_dir"]) / "report.json").read_text())
+    assert stored["aggregate"] is None
+    assert "aggregate" not in (
+        pathlib.Path(summary["run_dir"]) / "report.md").read_text()
+
+    # report_run replays the stored report instead of calling table().
+    def recompute(self, plan, results):
+        raise AssertionError("report must not recompute a cell-less figure")
+
+    monkeypatch.setattr(get_experiment("table1"), "table", recompute)
     report = report_run(summary["run_dir"])
-    assert report["figure"]["rows"] == [["mcf", 1.0]]
+    assert report == stored
 
 
 # -- the fig7 acceptance property ----------------------------------------------
 
 
-def test_orchestrated_fig7_matches_legacy_bit_identically(tmp_path):
-    from repro.experiments import fig7_ipc
+def test_orchestrated_fig7_matches_run_inline_bit_identically(tmp_path):
+    def fig7():
+        return get_experiment("fig7")(
+            scale=0.1, workloads=["pointer_chase"], modes=("crisp",))
 
-    legacy = fig7_ipc.run(
-        scale=0.1, workloads=["pointer_chase"], modes=("crisp",))
-
-    from repro.orchestrate.experiment import get_experiment
-
-    exp = get_experiment("fig7")(
-        scale=0.1, workloads=["pointer_chase"], modes=("crisp",))
-    summary = execute_run(exp, out=tmp_path / "runs",
+    inline = fig7().run_inline()
+    summary = execute_run(fig7(), out=tmp_path / "runs",
                           cache=ResultCache(str(tmp_path / "cache")))
     figure = summary["figure"]
-    assert figure.headers == legacy.headers
-    assert figure.rows == legacy.rows  # bit-identical, not approximately
+    assert figure.headers == inline.headers
+    assert figure.rows == inline.rows  # bit-identical, not approximately
 
     # And a re-report from disk reproduces the same rows again.
     report = report_run(summary["run_dir"])
-    assert report["figure"]["rows"] == [list(r) for r in legacy.rows]
+    assert report["figure"]["rows"] == [list(r) for r in inline.rows]

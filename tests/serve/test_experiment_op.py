@@ -1,8 +1,10 @@
 """The ``experiment`` op: orchestrated experiments through the job server.
 
-A matrix experiment named on the wire is lowered to its Target × Instance
-cells and admitted as one bulk job; legacy and unknown experiments are
-rejected at the protocol layer.
+An experiment named on the wire is lowered to its Target × Instance
+cells and admitted as one bulk job. Unknown experiments are rejected at
+the protocol layer; an experiment that plans no cells, or a workload
+selection the experiment does not take, is rejected when the server
+plans it.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ def test_parse_experiment_accepts_a_matrix_experiment():
     assert engine is None and priority == "bulk"
 
 
-def test_parse_experiment_rejects_legacy_and_unknown():
-    with pytest.raises(ProtocolError, match="not 'matrix'"):
-        parse_experiment({"op": "experiment", "experiment": "table1"})
+def test_parse_experiment_rejects_unknown_names():
     with pytest.raises(ProtocolError, match="unknown experiment"):
         parse_experiment({"op": "experiment", "experiment": "fig99"})
 
@@ -91,14 +91,40 @@ def test_experiment_job_runs_to_done(tmp_path):
 def test_experiment_job_rejections_on_the_server(tmp_path):
     async def scenario():
         async with serving(tmp_path) as server:
-            legacy = await server.handle_request(
+            cell_less = await server.handle_request(
                 {"op": "experiment", "experiment": "table1"})
-            assert not legacy["ok"]
-            assert legacy["code"] == protocol.E_BAD_REQUEST
+            assert not cell_less["ok"]
+            assert cell_less["code"] == protocol.E_BAD_REQUEST
+            assert "plans no cells" in cell_less["error"]
             unknown = await server.handle_request(
                 {"op": "experiment", "experiment": "fig99"})
             assert not unknown["ok"]
             assert unknown["code"] == protocol.E_BAD_REQUEST
+            fixed = await server.handle_request({
+                "op": "experiment", "experiment": "discussion_smt",
+                "workloads": ["mcf"], "scale": FAST,
+            })
+            assert not fixed["ok"]
+            assert fixed["code"] == protocol.E_BAD_REQUEST
+            assert server.stats.jobs_submitted == 0
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("name,workloads,cells", [
+    ("fig8", ["pointer_chase"], 4),
+    ("fig12", ["pointer_chase"], 2),
+    ("discussion_division", None, 2),
+])
+def test_cell_planning_figures_are_admitted(tmp_path, name, workloads, cells):
+    async def scenario():
+        server = SimServer(jobs=1, drain_dir=str(tmp_path / "drain"))
+        request = {"op": "experiment", "experiment": name, "scale": FAST}
+        if workloads is not None:
+            request["workloads"] = workloads
+        admitted = await server.handle_request(request)
+        assert admitted["ok"], admitted
+        assert admitted["cells"] == cells
 
     asyncio.run(scenario())
 

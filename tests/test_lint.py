@@ -57,9 +57,9 @@ def test_registry_lint_flags_undocumented_and_stale_names():
     # An index table missing a real experiment and naming a bogus one.
     fake_md = (
         "# EXPERIMENTS\n\n## Experiment index\n\n"
-        "| experiment | kind | title |\n|---|---|---|\n"
-        "| `fig7` | matrix | Figure 7 |\n"
-        "| `bogus_experiment` | legacy | nope |\n"
+        "| experiment | title |\n|---|---|\n"
+        "| `fig7` | Figure 7 |\n"
+        "| `bogus_experiment` | nope |\n"
     )
     problems = checker.check(experiments_md=fake_md)
     assert any("'bogus_experiment'" in p and "no such experiment" in p
@@ -71,7 +71,7 @@ def test_registry_lint_flags_duplicate_index_rows():
     checker = load_script("check_experiment_registry")
     fake_md = (
         "## Experiment index\n\n"
-        "| `fig7` | matrix | a |\n| `fig7` | matrix | b |\n"
+        "| `fig7` | a |\n| `fig7` | b |\n"
     )
     problems = checker.check(experiments_md=fake_md)
     assert any("2 times" in p for p in problems)
@@ -82,3 +82,18 @@ def test_registry_lint_flags_missing_index_section():
     problems = checker.check(experiments_md="# EXPERIMENTS\n\nno table here\n")
     assert len(problems) == 1
     assert "Experiment index" in problems[0]
+
+
+def test_registry_lint_flags_a_figure_module_that_registers_nothing(
+        tmp_path, monkeypatch):
+    checker = load_script("check_experiment_registry")
+    assert checker.check() == []
+    figures = tmp_path / "experiments"
+    figures.mkdir()
+    for path in checker.FIGURES_DIR.glob("*.py"):
+        (figures / path.name).write_text("")
+    (figures / "fig99_unregistered.py").write_text('"""No @register."""\n')
+    monkeypatch.setattr(checker, "FIGURES_DIR", figures)
+    problems = checker.check()
+    assert len(problems) == 1
+    assert "'fig99_unregistered' registers 0 experiments" in problems[0]
