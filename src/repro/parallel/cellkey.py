@@ -14,10 +14,11 @@ The key hashes every input that can change the outcome — and nothing else:
   hierarchy and DRAM configs,
 * workload name, variant (including any ``#<n>`` seed-replica suffix), its
   resolved RNG seed, and scale,
-* the mode, and
+* the mode,
 * the annotation: the sorted ``critical_pcs`` when given explicitly, or the
   full FDO-flow recipe (:class:`~repro.core.fdo.CrispConfig` fields) when
-  the worker derives them itself.
+  the worker derives them itself, and
+* for a sampled cell only, its sampling plan token.
 
 Execution-only knobs (cycle budget, invariant cadence, crash directory, and
 the cycle-model engine — see docs/ENGINE.md's equivalence contract)
@@ -38,7 +39,10 @@ from ..workloads.base import variant_seed
 
 #: Bump when simulator behaviour or the cached payload format changes; old
 #: cache entries then miss (different key) instead of poisoning results.
-#: v2: interval cells (repro.sampling) — the key gains a sampling recipe.
+#: v2: interval cells (repro.sampling) — the key gained a sampling recipe.
+#: Those cells are gone; a sampled parent cell's key instead carries a
+#: ``sample`` entry no v2 key has, so nothing collides and every other v2
+#: key, cache entry and run dir stays valid without a bump.
 CACHE_SCHEMA_VERSION = 2
 
 
@@ -63,12 +67,12 @@ class CellSpec:
     crisp_config: CrispConfig | None = None
     #: Core configuration; ``None`` means the Table 1 Skylake preset.
     config: CoreConfig | None = None
-    #: Sampled simulation (repro.sampling): detailed-simulate only trace
-    #: positions ``[start, end)``. ``None`` runs the full trace.
-    interval: tuple[int, int] | None = None
-    #: Warmup recipe for an interval cell ("functional" | "none"); part of
-    #: the key only when ``interval`` is set.
-    warmup: str = "functional"
+    #: Sampled simulation (repro.sampling): the plan token
+    #: (``SamplingPlan.token()``) of a sampled parent, whose cell answers
+    #: the whole run with a :class:`~repro.sampling.estimate.SampledEstimate`.
+    #: ``"off"`` simulates the full trace in detail; part of the key only
+    #: when not ``"off"``.
+    sample: str = "off"
     #: N-core co-run cell (:mod:`repro.multicore`): the full
     #: :class:`~repro.multicore.spec.CoRunSpec`. When set, ``workload`` is
     #: the mix label and ``mode`` is ``"corun"`` (display only — the
@@ -118,11 +122,8 @@ def cell_payload(spec: CellSpec) -> dict:
         "annotation": _annotation_entry(spec),
         "config": dataclasses.asdict(spec.core_config()),
     }
-    if spec.interval is not None:
-        payload["sampling"] = {
-            "interval": list(spec.interval),
-            "warmup": spec.warmup,
-        }
+    if spec.sample != "off":
+        payload["sample"] = spec.sample
     generated = spec.workload.startswith("gen:")
     if spec.corun is not None:
         # Co-run cells: the CoRunSpec's canonical payload is the identity

@@ -114,12 +114,13 @@ class CellResult:
     error: str | None = None
     error_type: str | None = None
     crash_bundle: str | None = None
-    #: Structured side-channel for composite cells (JSON-shaped, cached
-    #: alongside the stats): co-run cells put per-core SimStats and the
-    #: MulticoreStats under ``extra["corun"]``, SMT cells their per-thread
-    #: rows under ``extra["smt"]``. Empty for ordinary cells.
+    #: Structured side-channel (JSON-shaped, cached alongside the stats):
+    #: co-run cells put per-core SimStats and the MulticoreStats under
+    #: ``extra["corun"]``, SMT cells their per-thread rows under
+    #: ``extra["smt"]``, sampled cells their estimate under
+    #: ``extra["sampled"]``. Empty for ordinary cells.
     extra: dict = field(default_factory=dict)
-    #: Set on synthesized sampled-run results (repro.sampling.cells): the
+    #: Set on sampled-run results (repro.sampling.cells): the
     #: SampledEstimate the stats/ipc fields were assembled from.
     estimate: object = None
 
@@ -157,18 +158,35 @@ class CellResult:
 # -- worker side ---------------------------------------------------------------
 
 
+def cell_annotation(spec: CellSpec) -> frozenset[int]:
+    """The critical PCs a cell simulates with: none outside ``crisp``
+    mode, else the explicit annotation or the FDO flow's on the train
+    input."""
+    if spec.mode != "crisp":
+        return frozenset()
+    if spec.critical_pcs is not None:
+        return frozenset(spec.critical_pcs)
+    from ..core.fdo import run_crisp_flow
+
+    # Only the PCs are kept: the flow's slices hold the train trace.
+    return run_crisp_flow(
+        spec.workload,
+        spec.crisp_config,
+        core_config=spec.core_config(),
+        scale=spec.scale,
+        engine=spec.engine,
+    ).critical_pcs
+
+
 def run_cell_spec(spec: CellSpec) -> dict:
     """Simulate one cell and return its serialized result payload.
 
     Runs identically in-process and inside a pool worker: the workload is
-    rebuilt by name (an interval cell reads its parent's from
-    :func:`repro.sampling.cells.parent_workload`, built by the same
-    builder), and the *global* RNG is re-seeded deterministically
+    rebuilt by name, and the *global* RNG is re-seeded deterministically
     from the cell key first so any builder that (illegitimately) touched
     ``random`` module state would still behave reproducibly per cell rather
     than depending on worker scheduling history.
     """
-    from ..core.fdo import run_crisp_flow
     from ..resilience.watchdog import CycleBudgetWatchdog, Watchdog
     from ..sim.simulator import simulate
     from ..workloads import get_workload
@@ -188,21 +206,6 @@ def run_cell_spec(spec: CellSpec) -> dict:
 
         return run_smt_cell(spec)
 
-    config = spec.core_config()
-    critical: frozenset[int] = frozenset()
-    if spec.mode == "crisp":
-        if spec.critical_pcs is not None:
-            critical = frozenset(spec.critical_pcs)
-        else:
-            # Only the PCs are kept: the flow's slices hold the train trace.
-            critical = run_crisp_flow(
-                spec.workload,
-                spec.crisp_config,
-                core_config=config,
-                scale=spec.scale,
-                engine=spec.engine,
-            ).critical_pcs
-
     watchdog = None
     context = {"workload": spec.workload, "mode": spec.mode,
                "variant": spec.variant, "scale": spec.scale}
@@ -213,36 +216,24 @@ def run_cell_spec(spec: CellSpec) -> dict:
     elif spec.crash_dir is not None:
         watchdog = Watchdog(crash_dir=spec.crash_dir, context=context)
 
-    if spec.interval is not None:
-        # Interval cell (repro.sampling): detailed-simulate only this
-        # trace range behind functionally warmed state. The parent's
-        # workload and trace are shared with its other intervals.
-        from ..sampling.cells import parent_workload
-        from ..sampling.sampler import simulate_interval
+    if spec.sample != "off":
+        # Sampled parent (repro.sampling): dispatch before the annotation
+        # step; the sampled cell runs a crisp parent's FDO flow once itself.
+        from ..sampling.cells import run_sampled_cell
 
-        workload = parent_workload(spec.workload, spec.variant, spec.scale)
-        result = simulate_interval(
-            workload,
-            spec.mode,
-            interval=tuple(spec.interval),
-            config=config,
-            critical_pcs=critical,
-            warmup=spec.warmup,
-            invariants=spec.invariants,
-            watchdog=watchdog,
-            engine=spec.engine,
-        )
-    else:
-        workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
-        result = simulate(
-            workload,
-            spec.mode,
-            config=config,
-            critical_pcs=critical,
-            invariants=spec.invariants,
-            watchdog=watchdog,
-            engine=spec.engine,
-        )
+        return run_sampled_cell(spec, watchdog)
+
+    critical = cell_annotation(spec)
+    workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
+    result = simulate(
+        workload,
+        spec.mode,
+        config=spec.core_config(),
+        critical_pcs=critical,
+        invariants=spec.invariants,
+        watchdog=watchdog,
+        engine=spec.engine,
+    )
     return {
         "workload": spec.workload,
         "mode": spec.mode,
@@ -318,14 +309,11 @@ def run_cells(
     policy: RetryPolicy | None = None,
     stats: PoolStats | None = None,
     on_result=None,
-    pool: ProcessPoolExecutor | None = None,
 ) -> list[CellResult]:
     """Run every cell; returns results in input order.
 
     ``jobs <= 1`` runs in-process (no pool, no pickling); higher values use
-    a process pool with at most ``jobs`` workers: ``pool`` when the caller
-    passes one (it stays open for the caller to reuse and shut down),
-    otherwise a private pool for this call. ``on_result`` is called
+    a process pool with at most ``jobs`` workers. ``on_result`` is called
     with each :class:`CellResult` *as it resolves* (completion order —
     run directories persist cells through it); the returned list is
     always in input order.
@@ -375,7 +363,7 @@ def run_cells(
         for item in pending:
             _run_serial(item, policy, stats, resolve)
     elif pending:
-        _run_pooled(pending, jobs, policy, stats, resolve, pool)
+        _run_pooled(pending, jobs, policy, stats, resolve)
 
     return results  # type: ignore[return-value]
 
@@ -420,7 +408,7 @@ def _crash_outcome() -> dict:
             "error": "worker process died mid-cell (pool broken)"}
 
 
-def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve, pool=None) -> None:
+def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
     """Pool driver with crash supervision and deterministic backoff.
 
     Three item pools: ``futures`` (in flight), ``deferred`` (waiting out a
@@ -430,13 +418,8 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve, pool=None) -
     cell is retried as a transient failure — or recorded as failed when
     its budget is spent. Configuration errors (``ValueError``) still
     propagate and abort the run.
-
-    A ``pool`` passed in belongs to the caller and is never shut down
-    here; a pool created here, first or as a respawn, is.
     """
-    owned = pool is None
-    if owned:
-        pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=jobs)
     futures: dict = {}
     deferred: list[tuple[float, _Pending]] = []
 
@@ -489,10 +472,8 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve, pool=None) -
                     futures.clear()
                     stats.worker_crashes += len(lost)
                     stats.pool_rebuilds += 1
-                    if owned:
-                        pool.shutdown(wait=False, cancel_futures=True)
+                    pool.shutdown(wait=False, cancel_futures=True)
                     pool = ProcessPoolExecutor(max_workers=jobs)
-                    owned = True
                     for lost_item in lost:
                         retry_or_fail(lost_item, _crash_outcome())
                     break
@@ -504,5 +485,4 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve, pool=None) -
                 _record_attempt_failure(outcome, stats)
                 retry_or_fail(item, outcome)
     finally:
-        if owned:
-            pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=False, cancel_futures=True)

@@ -1,4 +1,4 @@
-"""Sampled simulation: functional warmup + interval-parallel execution.
+"""Sampled simulation: one-pass functional warmup + detailed intervals.
 
 Full cycle-accurate simulation pays detailed-pipeline cost on every
 dynamic instruction; this package reproduces the standard simulator
@@ -13,8 +13,11 @@ affordable (docs/SAMPLING.md):
   k-means, representative-interval selection with weights,
 * :mod:`estimate`   — exact :meth:`SimStats.merge` composition plus a
   CPI-sample mean with a 95% confidence interval on IPC,
-* :mod:`sampler`    — serial orchestration and ``sampling.*`` telemetry,
-* :mod:`cells`      — interval cells over the repro.parallel pool/cache.
+* :mod:`sampler`    — the per-run loop (one warmer walked forward through
+  the trace, a copy of its state per detailed interval) and
+  ``sampling.*`` telemetry,
+* :mod:`cells`      — one sampled cell per parent over the repro.parallel
+  pool/cache.
 """
 
 from __future__ import annotations

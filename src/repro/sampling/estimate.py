@@ -20,6 +20,7 @@ instruction is the mean that extrapolates linearly to run length.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -95,6 +96,22 @@ class SampledEstimate:
             "ipc": self.ipc,
             "ipc_ci95": [ipc_lo, ipc_hi],
         }
+
+    def to_dict(self) -> dict:
+        """Every field, JSON-safe (a sampled cell's cached payload)."""
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["stats"] = self.stats.to_dict()
+        data["extrapolated"] = self.extrapolated.to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SampledEstimate":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**{
+            **data,
+            "stats": SimStats.from_dict(data["stats"]),
+            "extrapolated": SimStats.from_dict(data["extrapolated"]),
+        })
 
     def summary(self) -> str:
         ipc_lo, ipc_hi = self.ipc_ci

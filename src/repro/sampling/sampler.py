@@ -1,11 +1,11 @@
 """Sampled-simulation orchestration.
 
-``simulate_interval`` runs one trace interval through the detailed
-pipeline behind functionally warmed state; ``simulate_sampled`` plans the
-intervals for a whole workload (systematic SMARTS schedule or SimPoint
-selection), runs each one serially, and combines them into a
-:class:`~repro.sampling.estimate.SampledEstimate`. Interval-parallel
-execution over the process pool lives in :mod:`repro.sampling.cells`.
+``simulate_sampled`` plans the intervals for a whole workload (systematic
+SMARTS schedule or SimPoint selection), walks one functional warmer forward
+through the trace in interval-start order, runs each interval through
+``simulate_interval`` behind a copy of the warmed state, and combines them
+into a :class:`~repro.sampling.estimate.SampledEstimate`. A sampled cell of
+the repro.parallel pool runs exactly this loop (:mod:`repro.sampling.cells`).
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from .estimate import SampledEstimate, estimate_from_intervals
 from .intervals import Interval, SamplingPlan, slice_trace, systematic_intervals
 from .simpoint import simpoint_intervals
 from .warmup import FunctionalWarmer
-
-#: Warmup policies an interval cell may request.
-WARMUP_POLICIES = ("functional", "none")
-
 
 @dataclass
 class SamplingStats:
@@ -68,7 +64,7 @@ def simulate_interval(
     interval: tuple[int, int],
     config: CoreConfig | None = None,
     critical_pcs: frozenset[int] = frozenset(),
-    warmup: str = "functional",
+    warmed: FunctionalWarmer | None = None,
     invariants: str | None = None,
     watchdog=None,
     stats: SamplingStats | None = None,
@@ -76,17 +72,17 @@ def simulate_interval(
 ) -> SimResult:
     """Detailed-simulate trace positions ``[start, end)`` of ``workload``.
 
-    ``warmup="functional"`` first replays ``[0, start)`` through a
-    :class:`~repro.sampling.warmup.FunctionalWarmer` and injects the
-    warmed cache hierarchy / predictor / BTB / RAS into the pipeline;
-    ``"none"`` starts the interval cold. The returned
+    ``warmed`` is a finished warmer that has replayed ``[0, start)``; its
+    cache hierarchy / predictor / BTB / RAS are injected into the pipeline
+    (:func:`simulate_sampled` passes one). Without it the interval replays
+    ``[0, start)`` through a fresh
+    :class:`~repro.sampling.warmup.FunctionalWarmer` first — the reference
+    the one-pass warmer is tested against. The returned
     :class:`~repro.sim.simulator.SimResult` carries the *interval's*
     stats (cycles and retired count cover only the detailed region).
     ``engine`` picks the detailed cycle-model implementation
     (docs/ENGINE.md); warmup is functional either way.
     """
-    if warmup not in WARMUP_POLICIES:
-        raise ValueError(f"unknown warmup {warmup!r}; known: {WARMUP_POLICIES}")
     config, critical, ibda = resolve_mode(mode, config, critical_pcs)
     trace = workload.trace()
     start, end = interval
@@ -94,18 +90,14 @@ def simulate_interval(
         raise ValueError(
             f"interval [{start}, {end}) outside trace of {len(trace.insts)} insts"
         )
-    warm_components: dict = {}
-    if warmup == "functional" and start > 0:
-        warmer = FunctionalWarmer(trace.program, config, critical_pcs=critical)
-        warmer.warm(trace, 0, start)
-        warmer.finish()
-        warm_components = warmer.components()
+    if warmed is None and start > 0:
+        warmed = FunctionalWarmer(trace.program, config, critical_pcs=critical)
+        warmed.warm(trace, 0, start)
+        warmed.finish()
         if stats is not None:
             stats.insts_warmed += start
-    run_context = {
-        "workload": workload.name, "mode": mode,
-        "interval": [start, end], "warmup": warmup,
-    }
+    warm_components = warmed.components() if warmed is not None else {}
+    run_context = {"workload": workload.name, "mode": mode, "interval": [start, end]}
     pipeline = pipeline_class(engine)(
         slice_trace(trace, start, end),
         config,
@@ -143,30 +135,48 @@ def simulate_sampled(
     config: CoreConfig | None = None,
     critical_pcs: frozenset[int] = frozenset(),
     invariants: str | None = None,
+    watchdog=None,
     stats: SamplingStats | None = None,
     engine: str | None = None,
 ) -> SampledEstimate:
-    """Run ``workload`` sampled per ``plan`` and return the estimate."""
+    """Run ``workload`` sampled per ``plan`` and return the estimate.
+
+    One :class:`~repro.sampling.warmup.FunctionalWarmer` walks the trace
+    forward once, in interval-start order, and each detailed interval
+    starts from a finished copy of its state, so warming costs one pass up
+    to the last interval start however many intervals there are. That
+    state equals what warming ``[0, start)`` afresh gives
+    (``tests/sampling/test_warmup.py``), so the estimate does too.
+    ``watchdog`` guards each interval's pipeline.
+    """
     if plan.off:
         raise ValueError("plan is 'off'; call repro.sim.simulate instead")
     trace = workload.trace()
     intervals = plan_for_trace(plan, trace)
-    interval_stats = [
-        simulate_interval(
+    warm_config, critical, _ = resolve_mode(mode, config, critical_pcs)
+    warmer = FunctionalWarmer(trace.program, warm_config, critical_pcs=critical)
+    warmed_to = 0
+    interval_stats: list = [None] * len(intervals)
+    for position in sorted(range(len(intervals)), key=lambda i: intervals[i].start):
+        iv = intervals[position]
+        warmer.warm(trace, warmed_to, iv.start)
+        warmed_to = iv.start
+        interval_stats[position] = simulate_interval(
             workload,
             mode,
             interval=(iv.start, iv.end),
             config=config,
             critical_pcs=critical_pcs,
+            warmed=warmer.copy().finish() if iv.start else None,
             invariants=invariants,
+            watchdog=watchdog,
             stats=stats,
             engine=engine,
         ).stats
-        for iv in intervals
-    ]
     if stats is not None:
         stats.runs += 1
         stats.insts_total += len(trace.insts)
+        stats.insts_warmed += warmed_to
     return estimate_from_intervals(
         intervals, interval_stats, len(trace.insts), policy=plan.policy
     )

@@ -96,3 +96,23 @@ def test_schema_version_changes_the_key(monkeypatch):
     monkeypatch.setattr(cellkey_mod, "CACHE_SCHEMA_VERSION",
                         cellkey_mod.CACHE_SCHEMA_VERSION + 1)
     assert cell_key(BASE) != before
+
+
+def test_full_run_keys_are_the_v2_keys():
+    """Sampled cells add a key entry; full-run keys, cache entries and run
+    dirs written before stay valid (these are v2 keys, pinned)."""
+    assert CACHE_SCHEMA_VERSION == 2
+    assert "sample" not in cell_payload(BASE)
+    assert cell_key(BASE) == (
+        "9e1b663fc30d052a3fc5c716a67502bf36fa86b5e1435e6d199571556feb3a1c")
+    assert cell_key(CellSpec(workload="mcf", mode="crisp", scale=0.1)) == (
+        "5e6f007d034d83279dbb1996cc76bd90963979f005c4fb722283d8ad53d8ea75")
+    assert cell_key(dataclasses.replace(BASE, sample="off")) == cell_key(BASE)
+
+
+def test_sample_token_is_part_of_the_key():
+    tokens = ["smarts:1000/10000", "smarts:400/2000", "simpoint:4/1000"]
+    keys = {cell_key(dataclasses.replace(BASE, sample=token)) for token in tokens}
+    assert len(keys) == len(tokens)
+    assert cell_key(BASE) not in keys
+    assert cell_payload(dataclasses.replace(BASE, sample=tokens[0]))["sample"] == tokens[0]

@@ -1,31 +1,26 @@
-"""Interval cells through the pool + cache (ISSUE acceptance criteria).
+"""Sampled parents through the pool + cache.
 
-Sampled runs must compose with run_cells(): interval cells are ordinary
-content-addressed cells, pooled execution is bit-identical to serial, and
-re-running a sampled workload hits the cache for every interval.
+Sampled runs must compose with run_cells(): each parent is one ordinary
+content-addressed cell, pooled execution is bit-identical to serial, every
+interval matches a self-warming reference run, and re-running a sampled
+workload answers each parent with one cache read.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.workloads as workloads
-from repro.core import slicer
+from repro.core import fdo, slicer
 from repro.parallel import CellSpec, PoolStats, ResultCache
 from repro.parallel.executor import run_cell_spec
-from repro.sampling import cells, parse_sample, run_cells_sampled, sampler, simulate_sampled
+from repro.sampling import parse_sample, run_cells_sampled, sampler, simulate_sampled
 from repro.sampling.cells import expand_spec
 from repro.workloads import base, get_workload
 
 PLAN = parse_sample("smarts:400/2000")
+SIMPOINT = parse_sample("simpoint:3/500")
 FAST = dict(scale=0.2)
 GEN = "gen:pcd4,mlp2,ent0.50,ws256,sl3,lf0.30#0"
-
-
-@pytest.fixture(autouse=True)
-def empty_parent_memo():
-    # Direct expand_spec / run_cell_spec calls leave the memo filled.
-    cells.clear_parent_workload()
 
 
 def spec(workload="mcf", mode="ooo", **kw):
@@ -36,16 +31,48 @@ def spec(workload="mcf", mode="ooo", **kw):
 def test_pooled_sampled_run_is_bit_identical_to_serial():
     # The crisp parent runs its FDO flow in a pool worker when pooled.
     specs = [spec("mcf"), spec("xz"), spec("mcf", "crisp"), spec(GEN)]
-    serial = run_cells_sampled(specs, PLAN, jobs=1)
-    pooled = run_cells_sampled(specs, PLAN, jobs=2)
-    for s, p in zip(serial, pooled):
-        assert s.ok and p.ok
-        assert p.spec == s.spec
-        assert p.ipc == s.ipc
-        assert p.critical_pcs == s.critical_pcs
-        assert p.stats.to_dict() == s.stats.to_dict()
-        assert p.estimate.brief() == s.estimate.brief()
-    assert serial[2].critical_pcs
+    for plan in (PLAN, SIMPOINT):
+        serial = run_cells_sampled(specs, plan, jobs=1)
+        pooled = run_cells_sampled(specs, plan, jobs=2)
+        for caller, s, p in zip(specs, serial, pooled):
+            assert s.ok and p.ok
+            assert s.spec is caller and p.spec is caller
+            assert p.ipc == s.ipc
+            assert p.critical_pcs == s.critical_pcs
+            assert p.stats.to_dict() == s.stats.to_dict()
+            assert p.estimate.brief() == s.estimate.brief()
+            assert p.estimate.stats.to_dict() == s.estimate.stats.to_dict()
+        assert serial[2].critical_pcs
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["plan-order", "reversed"])
+def test_every_interval_matches_the_self_warming_reference(monkeypatch, reverse):
+    """The one-pass warmer gives each interval the stats of an interval
+    that warms ``[0, start)`` itself, in whatever order the plan lists
+    intervals."""
+    if reverse:
+        planned = sampler.plan_for_trace
+        monkeypatch.setattr(sampler, "plan_for_trace",
+                            lambda plan, trace: planned(plan, trace)[::-1])
+    runs = []
+    real = sampler.simulate_interval
+
+    def recording(workload, mode, **kwargs):
+        result = real(workload, mode, **kwargs)
+        runs.append((workload, mode, kwargs["interval"], kwargs["critical_pcs"],
+                     result.stats))
+        return result
+
+    monkeypatch.setattr(sampler, "simulate_interval", recording)
+    for plan in (PLAN, SIMPOINT):
+        runs.clear()
+        [ooo, crisp] = run_cells_sampled([spec("mcf"), spec("mcf", "crisp")], plan)
+        assert len(runs) == ooo.estimate.intervals + crisp.estimate.intervals
+        starts = [interval[0] for _, mode, interval, _, _ in runs if mode == "ooo"]
+        assert starts == sorted(starts)  # warmed forward, one pass
+        for workload, mode, interval, critical, stats in runs:
+            reference = real(workload, mode, interval=interval, critical_pcs=critical)
+            assert stats.digest() == reference.stats.digest(), (plan, mode, interval)
 
 
 def test_sampled_cells_match_the_serial_sampler():
@@ -57,18 +84,40 @@ def test_sampled_cells_match_the_serial_sampler():
 
 def test_interval_cells_hit_cache_on_rerun(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
-    specs = [spec("mcf")]
+    specs = [spec("mcf"), spec("mcf", "crisp")]
 
     cold = run_cells_sampled(specs, PLAN, jobs=1, cache=cache)
-    assert not cold[0].from_cache
-    stored = cache.stats.stores
-    assert stored > 1  # one entry per interval cell
+    assert not any(r.from_cache for r in cold)
+    assert cache.stats.stores == len(specs)  # one entry per parent
 
     warm = run_cells_sampled(specs, PLAN, jobs=1, cache=cache)
-    assert warm[0].from_cache  # every child interval was a hit
-    assert cache.stats.hits == stored
-    assert warm[0].ipc == cold[0].ipc
-    assert warm[0].stats.to_dict() == cold[0].stats.to_dict()
+    assert all(r.from_cache for r in warm)
+    assert cache.stats.hits == len(specs)
+    for c, w in zip(cold, warm):
+        assert w.ipc == c.ipc
+        assert w.critical_pcs == c.critical_pcs
+        assert w.stats.to_dict() == c.stats.to_dict()
+        # The estimate survives the cache payload's JSON round trip.
+        assert w.estimate.brief() == c.estimate.brief()
+        assert w.estimate.stats.to_dict() == c.estimate.stats.to_dict()
+        assert w.estimate.extrapolated.to_dict() == c.estimate.extrapolated.to_dict()
+        assert w.estimate == c.estimate
+
+
+def test_warm_sampled_rerun_does_no_work(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path / "cache"))
+    specs = [spec("mcf"), spec("xz"), spec("mcf", "crisp")]
+    cold = run_cells_sampled(specs, PLAN, jobs=1, cache=cache)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm sampled re-run emulated or ran FDO")
+
+    monkeypatch.setattr(base, "execute", forbidden)
+    monkeypatch.setattr(fdo, "run_crisp_flow", forbidden)
+    hits = cache.stats.hits
+    warm = run_cells_sampled(specs, PLAN, jobs=1, cache=cache)
+    assert cache.stats.hits - hits == len(specs)  # one read per parent
+    assert [w.estimate.brief() for w in warm] == [c.estimate.brief() for c in cold]
 
 
 def test_off_plan_falls_back_to_plain_cells():
@@ -78,19 +127,24 @@ def test_off_plan_falls_back_to_plain_cells():
 
 
 def test_crisp_mode_derives_annotation_once_per_parent():
-    intervals, children, total, critical = expand_spec(spec("mcf", "crisp"), PLAN)
-    assert len(children) == len(intervals)
-    assert total > 0
+    workload, critical = expand_spec(spec("mcf", "crisp"))
+    assert workload.name == "mcf"
     assert critical  # FDO flow ran and produced PCs
-    for child in children:
-        assert child.critical_pcs == critical  # embedded, not re-derived
-        assert child.interval is not None
+    assert expand_spec(spec("mcf"))[1] == frozenset()
 
 
-def test_expand_rejects_specs_that_already_carry_intervals():
-    nested = spec("mcf", interval=(0, 100))
-    with pytest.raises(ValueError):
-        expand_spec(nested, PLAN)
+def test_crisp_parent_runs_the_fdo_flow_once(monkeypatch):
+    calls = []
+    real = fdo.run_crisp_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fdo, "run_crisp_flow", counting)
+    [result] = run_cells_sampled([spec("mcf", "crisp")], PLAN, jobs=1)
+    assert result.estimate.intervals >= 3
+    assert len(calls) == 1
 
 
 def test_failed_interval_fails_the_parent():
@@ -132,35 +186,6 @@ def test_interval_cells_reuse_the_parent_trace(monkeypatch):
     results = run_cells_sampled([spec("mcf")], PLAN, jobs=1)
     assert results[0].estimate.intervals >= 3
     assert len(calls) == 1  # not once more per interval cell
-
-
-def test_parent_memo_holds_one_workload_and_is_cleared(monkeypatch):
-    held_at_build = []
-    real = workloads.get_workload
-
-    def recording(name, variant="ref", scale=1.0):
-        held_at_build.append(cells._PARENT)
-        return real(name, variant=variant, scale=scale)
-
-    monkeypatch.setattr(workloads, "get_workload", recording)
-    run_cells_sampled([spec("mcf"), spec("xz"), spec("mcf", "crisp")], PLAN, jobs=1)
-    assert len(held_at_build) >= 3
-    assert all(held is None for held in held_at_build)  # old one dropped first
-    assert cells._PARENT is None
-
-
-def test_reused_parent_matches_fresh_builds(monkeypatch):
-    specs = [spec("mcf"), spec("mcf", "crisp"), spec("xz")]
-    reused = run_cells_sampled(specs, PLAN, jobs=1)
-    monkeypatch.setattr(
-        cells, "parent_workload",
-        lambda name, variant, scale: get_workload(name, variant=variant, scale=scale),
-    )
-    fresh = run_cells_sampled(specs, PLAN, jobs=1)
-    for r, f in zip(reused, fresh):
-        assert r.ok and f.ok
-        assert r.critical_pcs == f.critical_pcs
-        assert r.stats.digest() == f.stats.digest()
 
 
 def test_crisp_cell_fdo_never_measures_dynamic_cones(monkeypatch):

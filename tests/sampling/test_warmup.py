@@ -9,13 +9,21 @@ values), since the two executions run on different clocks.
 
 from __future__ import annotations
 
+import pytest
 from tests.conftest import make_chase_workload
 
 from repro.isa import execute
 from repro.memory.hierarchy import HierarchyConfig
-from repro.sampling import FunctionalWarmer, pipeline_state_digest, state_digest
+from repro.sampling import (
+    FunctionalWarmer,
+    pipeline_state_digest,
+    slice_trace,
+    state_digest,
+    systematic_intervals,
+)
 from repro.uarch import CoreConfig
 from repro.uarch.pipeline import Pipeline
+from repro.workloads import get_workload
 
 
 def fidelity_config() -> CoreConfig:
@@ -103,3 +111,35 @@ def test_partial_warmup_then_detailed_interval_runs(tiny_loop_program):
         slice_trace(trace, n // 2, n), config, **warmer.components()
     ).run()
     assert stats.retired == n - n // 2
+
+
+@pytest.mark.parametrize("mode", ["ooo", "crisp"])
+def test_one_pass_warmer_matches_warming_from_zero(mode):
+    """The sampled loop's chained warmer: at every interval start a
+    finished copy equals a warmer that replayed ``[0, start)`` afresh, and
+    running the interval on a copy leaves the chained warmer untouched."""
+    trace = get_workload("mcf", scale=0.1).trace()
+    config = CoreConfig.skylake()
+    critical = frozenset()
+    if mode == "crisp":  # the 1-byte prefixes move every later PC
+        critical = frozenset(inst.idx for inst in trace.program if inst.is_load)
+    intervals = systematic_intervals(len(trace.insts), 100, 500)
+    assert len(intervals) >= 4
+
+    def chained_digest() -> str:
+        return state_digest(chained.hierarchy, chained.predictor, chained.btb,
+                            chained.ras, drain=False)
+
+    chained = FunctionalWarmer(trace.program, config, critical_pcs=critical)
+    warmed_to = 0
+    for iv in intervals:
+        chained.warm(trace, warmed_to, iv.start)
+        warmed_to = iv.start
+        fresh = FunctionalWarmer(trace.program, config, critical_pcs=critical)
+        fresh.warm(trace, 0, iv.start)
+        assert chained.copy().finish().digest() == fresh.finish().digest()
+
+        before = chained_digest()
+        Pipeline(slice_trace(trace, iv.start, iv.end), config,
+                 critical_pcs=critical, **chained.copy().finish().components()).run()
+        assert chained_digest() == before
