@@ -10,13 +10,17 @@ Execution path per cell:
 1. Compute the content hash (:func:`~repro.parallel.cellkey.cell_key`) and
    consult the :class:`~repro.parallel.cache.ResultCache` if one is given;
    a hit skips simulation entirely.
-2. Misses are simulated — in-process when ``jobs <= 1``, otherwise on a
-   :class:`concurrent.futures.ProcessPoolExecutor`. Workers receive only
-   the picklable spec; the workload is rebuilt *by name* inside the worker
-   through the same deterministic builder an in-process run uses, and the
-   worker's global RNG is re-seeded from the cell key first, so no ambient
-   RNG state can leak between cells (guarded by
-   ``tests/parallel/test_executor.py``'s cross-process determinism check).
+2. Misses are grouped by input ``(workload, variant, scale)`` and each
+   group runs as one task — one in-process pass when ``jobs <= 1``,
+   otherwise one task on a :class:`concurrent.futures.ProcessPoolExecutor`
+   (see :func:`_tasks` for when a pool groups). Tasks carry only picklable
+   specs. The first cell of a group that needs the input builds it by name
+   through the same deterministic builder an in-process run uses
+   (:func:`cell_input`); the group's later cells reuse it with its trace
+   and the array engine's decode tables. Each cell re-seeds the global RNG
+   from its own key first, so no ambient RNG state can leak between cells
+   (guarded by ``tests/parallel/test_executor.py``'s cross-process
+   determinism check).
 3. Failures follow the shared :class:`~repro.resilience.policy.RetryPolicy`
    (docs/RESILIENCE.md): :class:`~repro.resilience.errors.SimulationError`
    is a *hard* failure (recorded, never retried);
@@ -24,10 +28,11 @@ Execution path per cell:
    :class:`~repro.resilience.watchdog.CycleBudgetWatchdog`) and ``OSError``
    are *transient* (retried within the policy's budget, after its
    deterministic backoff delay); ``ValueError`` is a configuration error
-   and propagates immediately. A worker process dying mid-cell
-   (``BrokenProcessPool``) is a transient failure of every in-flight cell:
-   the pool is rebuilt and only the lost cells are re-enqueued — one dead
-   worker no longer aborts the whole batch.
+   and propagates immediately. A retried cell runs as a task of its own. A
+   worker process dying mid-task (``BrokenProcessPool``) is a transient
+   failure of every cell in every in-flight task: the pool is rebuilt and
+   only the lost cells are re-enqueued — one dead worker no longer aborts
+   the whole batch.
 4. Successful results are serialized (``SimStats.to_dict``) and stored back
    into the cache atomically.
 
@@ -42,6 +47,8 @@ import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from ..resilience.errors import CellTimeout, SimulationError
@@ -157,6 +164,48 @@ class CellResult:
 
 # -- worker side ---------------------------------------------------------------
 
+#: Inputs built by the cell group running in this context, keyed like
+#: :func:`_input_key`; ``None`` outside a group (see :func:`_shared_inputs`).
+_GROUP_INPUTS: ContextVar[dict | None] = ContextVar("group_inputs", default=None)
+
+
+def _input_key(spec: CellSpec) -> tuple:
+    return (spec.workload, spec.variant, spec.scale)
+
+
+def _runs_fdo(spec: CellSpec) -> bool:
+    """Whether the cell runs the CRISP FDO flow (see :func:`cell_annotation`)."""
+    return spec.mode == "crisp" and spec.critical_pcs is None
+
+
+@contextmanager
+def _shared_inputs():
+    """Let the cells run inside the block share their built inputs."""
+    token = _GROUP_INPUTS.set({})
+    try:
+        yield
+    finally:
+        _GROUP_INPUTS.reset(token)
+
+
+def cell_input(spec: CellSpec):
+    """The cell's input workload, built by name.
+
+    Inside a group (:func:`_shared_inputs`) the first cell that asks builds
+    it and later cells get the same object, with its memoized trace and
+    the array engine's decode tables; outside one, every call builds.
+    """
+    from ..workloads import get_workload
+
+    inputs = _GROUP_INPUTS.get()
+    key = _input_key(spec)
+    if inputs is not None and key in inputs:
+        return inputs[key]
+    workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
+    if inputs is not None:
+        inputs[key] = workload
+    return workload
+
 
 def cell_annotation(spec: CellSpec) -> frozenset[int]:
     """The critical PCs a cell simulates with: none outside ``crisp``
@@ -181,15 +230,15 @@ def cell_annotation(spec: CellSpec) -> frozenset[int]:
 def run_cell_spec(spec: CellSpec) -> dict:
     """Simulate one cell and return its serialized result payload.
 
-    Runs identically in-process and inside a pool worker: the workload is
-    rebuilt by name, and the *global* RNG is re-seeded deterministically
-    from the cell key first so any builder that (illegitimately) touched
+    Runs identically in-process and inside a pool worker: the input comes
+    from :func:`cell_input` (built by name, or shared with earlier cells of
+    the group), and the *global* RNG is re-seeded deterministically from
+    the cell key first so any builder that (illegitimately) touched
     ``random`` module state would still behave reproducibly per cell rather
     than depending on worker scheduling history.
     """
     from ..resilience.watchdog import CycleBudgetWatchdog, Watchdog
     from ..sim.simulator import simulate
-    from ..workloads import get_workload
 
     key = cell_key(spec)
     random.seed(int(key[:16], 16))
@@ -223,8 +272,10 @@ def run_cell_spec(spec: CellSpec) -> dict:
 
         return run_sampled_cell(spec, watchdog)
 
+    # The annotation first: a group's FDO cell frees the train input before
+    # the shared input is built.
     critical = cell_annotation(spec)
-    workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
+    workload = cell_input(spec)
     result = simulate(
         workload,
         spec.mode,
@@ -256,6 +307,12 @@ def _pool_run_cell(spec: CellSpec) -> dict:
                 "crash_bundle": exc.bundle_path}
     # ValueError (configuration error) intentionally propagates: every cell
     # would fail identically, so the whole run should stop. It pickles fine.
+
+
+def _pool_run_group(specs: list[CellSpec]) -> list[dict]:
+    """Worker entry point: run one task's cells in order, sharing inputs."""
+    with _shared_inputs():
+        return [_pool_run_cell(spec) for spec in specs]
 
 
 # -- driver side ---------------------------------------------------------------
@@ -313,9 +370,11 @@ def run_cells(
     """Run every cell; returns results in input order.
 
     ``jobs <= 1`` runs in-process (no pool, no pickling); higher values use
-    a process pool with at most ``jobs`` workers. ``on_result`` is called
-    with each :class:`CellResult` *as it resolves* (completion order —
-    run directories persist cells through it); the returned list is
+    a process pool with at most ``jobs`` workers. Cells that share an input
+    share its build, trace and decode tables (see :func:`_tasks`).
+    ``on_result`` is called with each :class:`CellResult` *as it resolves*
+    (completion order — run directories persist cells through it; a pooled
+    task's cells resolve when the task returns); the returned list is
     always in input order.
 
     Retry behaviour is governed by ``policy``
@@ -360,12 +419,49 @@ def run_cells(
         pending.append(_Pending(index, spec, key))
 
     if pending and jobs <= 1:
-        for item in pending:
-            _run_serial(item, policy, stats, resolve)
+        # Groups and their cells run in input order: callers observe the
+        # order cells run in, and only a pool has a tail to shorten.
+        for group in _groups(pending):
+            with _shared_inputs():
+                for item in group:
+                    _run_serial(item, policy, stats, resolve)
     elif pending:
-        _run_pooled(pending, jobs, policy, stats, resolve)
+        _run_pooled(_tasks(pending, jobs), jobs, policy, stats, resolve)
 
     return results  # type: ignore[return-value]
+
+
+def _groups(pending: list[_Pending]) -> list[list[_Pending]]:
+    """Pending cells by input, groups and cells in input order.
+
+    Co-run and SMT cells build their own inputs and stay alone.
+    """
+    groups: dict = {}
+    for item in pending:
+        spec = item.spec
+        composite = spec.corun is not None or spec.smt is not None
+        key = ("alone", item.index) if composite else _input_key(spec)
+        groups.setdefault(key, []).append(item)
+    return list(groups.values())
+
+
+def _tasks(pending: list[_Pending], jobs: int) -> list[list[_Pending]]:
+    """The pool tasks for ``pending``, in submission order.
+
+    A pool runs one task per input group only with at least two groups per
+    worker: with fewer, groups of unequal length leave workers idle at the
+    end, so each cell is its own task. Inside a group the FDO cells go
+    first, so a worker builds the shared input only after the FDO flow has
+    freed the train input; tasks holding an FDO cell, the longest, are
+    submitted first to shorten the pool's tail.
+    """
+    groups = _groups(pending)
+    if len(groups) < 2 * jobs:
+        tasks = [[item] for item in pending]
+    else:
+        tasks = [sorted(group, key=lambda item: not _runs_fdo(item.spec))
+                 for group in groups]
+    return sorted(tasks, key=lambda task: not any(_runs_fdo(i.spec) for i in task))
 
 
 def _record_attempt_failure(outcome: dict, stats: PoolStats) -> None:
@@ -408,27 +504,29 @@ def _crash_outcome() -> dict:
             "error": "worker process died mid-cell (pool broken)"}
 
 
-def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
+def _run_pooled(tasks, jobs, policy: RetryPolicy, stats, resolve) -> None:
     """Pool driver with crash supervision and deterministic backoff.
 
-    Three item pools: ``futures`` (in flight), ``deferred`` (waiting out a
-    backoff delay as ``(ready_time, item)``), and the implicit done set.
-    A ``BrokenProcessPool`` from any future means a worker died: every
-    in-flight cell is lost at once, so the pool is respawned and each lost
-    cell is retried as a transient failure — or recorded as failed when
-    its budget is spent. Configuration errors (``ValueError``) still
-    propagate and abort the run.
+    Three item pools: ``futures`` (tasks in flight), ``deferred`` (cells
+    waiting out a backoff delay as ``(ready_time, item)``), and the
+    implicit done set. Every cell of a task counts one attempt; a retried
+    cell is a task of its own. A ``BrokenProcessPool`` from any future
+    means a worker died: every cell of every in-flight task is lost at
+    once, so the pool is respawned and each lost cell is retried as a
+    transient failure — or recorded as failed when its budget is spent.
+    Configuration errors (``ValueError``) still propagate and abort the run.
     """
     pool = ProcessPoolExecutor(max_workers=jobs)
     futures: dict = {}
     deferred: list[tuple[float, _Pending]] = []
 
-    def submit(item: _Pending) -> None:
-        if not item.started:
-            item.started = time.monotonic()
-        item.attempts += 1
-        stats.cells_executed += 1
-        futures[pool.submit(_pool_run_cell, item.spec)] = item
+    def submit(task: list[_Pending]) -> None:
+        for item in task:
+            if not item.started:
+                item.started = time.monotonic()
+            item.attempts += 1
+            stats.cells_executed += 1
+        futures[pool.submit(_pool_run_group, [item.spec for item in task])] = task
 
     def retry_or_fail(item: _Pending, outcome: dict) -> None:
         if _retryable(item, outcome, policy):
@@ -440,15 +538,15 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
                 item.spec, item.key, outcome, attempts=item.attempts))
 
     try:
-        for item in pending:
-            submit(item)
+        for task in tasks:
+            submit(task)
         while futures or deferred:
             now = time.monotonic()
             due = [item for ready, item in deferred if ready <= now]
             if due:
                 deferred = [(r, i) for r, i in deferred if i not in due]
                 for item in due:
-                    submit(item)
+                    submit([item])
             if not futures:
                 # Only backoff timers left: sleep until the earliest.
                 time.sleep(max(0.0, min(r for r, _ in deferred) - now))
@@ -459,16 +557,17 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
             finished, _ = wait(
                 futures, timeout=timeout, return_when=FIRST_COMPLETED)
             for future in finished:
-                item = futures.pop(future)
+                task = futures.pop(future)
                 try:
                     # Configuration errors (ValueError) propagate from
                     # .result() by design: every cell would fail the same.
-                    outcome = future.result()
+                    outcomes = future.result()
                 except BrokenProcessPool:
                     # A worker died. Every other in-flight future is dead
                     # too: drain them all, respawn the pool once, and send
                     # each lost cell through the normal transient path.
-                    lost = [item] + list(futures.values())
+                    lost = task + [item for other in futures.values()
+                                   for item in other]
                     futures.clear()
                     stats.worker_crashes += len(lost)
                     stats.pool_rebuilds += 1
@@ -477,12 +576,13 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
                     for lost_item in lost:
                         retry_or_fail(lost_item, _crash_outcome())
                     break
-                if outcome["ok"]:
-                    resolve(item.index, _result_from_payload(
-                        item.spec, item.key, outcome["payload"],
-                        attempts=item.attempts, from_cache=False))
-                    continue
-                _record_attempt_failure(outcome, stats)
-                retry_or_fail(item, outcome)
+                for item, outcome in zip(task, outcomes):
+                    if outcome["ok"]:
+                        resolve(item.index, _result_from_payload(
+                            item.spec, item.key, outcome["payload"],
+                            attempts=item.attempts, from_cache=False))
+                        continue
+                    _record_attempt_failure(outcome, stats)
+                    retry_or_fail(item, outcome)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

@@ -4,8 +4,8 @@ A sampled workload run is one :class:`~repro.parallel.cellkey.CellSpec`
 per parent whose ``sample`` field holds the plan token; the token joins
 the cell key, so a sampled parent and its full run never share a cache
 entry. :func:`~repro.parallel.executor.run_cell_spec` hands such a cell to
-:func:`run_sampled_cell`, which builds and traces the input once, runs a
-crisp parent's FDO flow once (:func:`expand_spec`), and calls
+:func:`run_sampled_cell`, which runs a crisp parent's FDO flow once,
+builds and traces the input once (:func:`expand_spec`), and calls
 :func:`~repro.sampling.sampler.simulate_sampled`: one functional warmer
 walked forward through the trace, each detailed interval started from a
 copy of its state. The :class:`~repro.sampling.estimate.SampledEstimate`
@@ -20,14 +20,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..parallel.cellkey import CellSpec
-from ..parallel.executor import CellResult, PoolStats, cell_annotation, run_cells
+from ..parallel.executor import (
+    CellResult,
+    PoolStats,
+    cell_annotation,
+    cell_input,
+    run_cells,
+)
 from .estimate import SampledEstimate
 from .intervals import SamplingPlan, parse_sample
 from .sampler import simulate_sampled
-
-
-def _runs_fdo(spec: CellSpec) -> bool:
-    return spec.mode == "crisp" and spec.critical_pcs is None
 
 
 def _is_parent(spec: CellSpec) -> bool:
@@ -40,13 +42,14 @@ def expand_spec(spec: CellSpec):
     """Build and trace one parent's input and resolve its annotation.
 
     Returns ``(workload, critical_pcs)``. A ``crisp`` parent with no
-    explicit annotation runs the FDO flow *here*, once per parent.
+    explicit annotation runs the FDO flow *here*, once per parent, before
+    the input is built; parents of one input in one group share it
+    (:func:`~repro.parallel.executor.cell_input`).
     """
-    from ..workloads import get_workload
-
-    workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
+    critical = cell_annotation(spec)
+    workload = cell_input(spec)
     workload.trace()
-    return workload, cell_annotation(spec)
+    return workload, critical
 
 
 def run_sampled_cell(spec: CellSpec, watchdog=None) -> dict:
@@ -100,9 +103,8 @@ def run_cells_sampled(
     ``on_result`` call) carries the caller's spec; a parent's ``ipc`` is
     the sampled estimate, ``stats`` the extrapolated full-run-shaped
     counters, and ``estimate`` the full
-    :class:`~repro.sampling.estimate.SampledEstimate`. Parents that run the
-    FDO flow are submitted first: they are the longest cells, so starting
-    them first shortens the pool's tail.
+    :class:`~repro.sampling.estimate.SampledEstimate`. ``run_cells``
+    orders the pool's work (FDO parents first).
     """
     specs = list(specs)
     if plan.off:
@@ -111,12 +113,11 @@ def run_cells_sampled(
             policy=policy, stats=stats, on_result=on_result,
         )
     token = plan.token()
-    order = sorted(range(len(specs)), key=lambda index: not _runs_fdo(specs[index]))
     # replace() makes a distinct object per position, so each result maps
     # back to its caller's position through the identity of its spec.
-    cells = [replace(specs[index], sample=token) if _is_parent(specs[index])
-             else replace(specs[index]) for index in order]
-    position = {id(cell): index for cell, index in zip(cells, order)}
+    cells = [replace(spec, sample=token) if _is_parent(spec) else replace(spec)
+             for spec in specs]
+    position = {id(cell): index for index, cell in enumerate(cells)}
     results: list[CellResult | None] = [None] * len(specs)
 
     def done(result: CellResult) -> None:

@@ -79,10 +79,10 @@ class ArrayPipeline(Pipeline):
         per-dynamic-instruction Python work is a couple of list lookups.
 
         The layout-independent arrays are a pure function of the (immutable)
-        trace, so they are memoized on it — a sweep running many cells over
-        one trace decodes it once. Layout-dependent arrays (addresses, line
-        probes, code sizes shift with the annotation prefixes) are rebuilt
-        per run.
+        trace, so they are memoized on it — runs over one trace, such as
+        the cells of one ``run_cells`` input group, decode it once.
+        Layout-dependent arrays (addresses, line probes, code sizes shift
+        with the annotation prefixes) are rebuilt per run.
         """
         trace = self.trace
         insts = trace.insts

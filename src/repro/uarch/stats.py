@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -215,7 +215,9 @@ class SimStats:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in ("load_pcs", "branch_pcs"):
-                data[f.name] = {str(pc): asdict(s) for pc, s in value.items()}
+                # Rows hold only int fields, set in field order by __init__:
+                # a shallow copy of each instance dict equals asdict().
+                data[f.name] = {str(pc): dict(vars(s)) for pc, s in value.items()}
             elif f.name == "rob_head_stall_by_pc":
                 data[f.name] = {str(pc): n for pc, n in value.items()}
             elif f.name == "upc_timeline":

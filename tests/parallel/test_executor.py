@@ -6,10 +6,14 @@ import random
 
 import pytest
 
+from repro.core import fdo
 from repro.parallel import CellSpec, PoolStats, ResultCache, run_cells
 from repro.parallel.executor import _pool_run_cell, run_cell_spec
+from repro.workloads import base
 
 FAST = dict(scale=0.05)
+#: Four inputs: on two workers, two groups per worker, so the pool groups.
+GROUPED = ("mcf", "lbm", "xz", "moses")
 
 
 def spec(workload="mcf", mode="ooo", **kw):
@@ -211,3 +215,126 @@ def test_worker_crashes_exhaust_retry_budget_cleanly(monkeypatch):
     assert stats.worker_crashes == 2
     assert stats.pool_rebuilds == 2
     assert stats.hard_failures == 1
+
+
+def test_grouped_crash_retries_each_lost_cell_on_its_own(tmp_path, monkeypatch):
+    """A worker dying mid-group costs one retry of every cell it took
+    down with it; each lost cell reruns as a task of its own and the
+    results stay bit-identical."""
+    specs = [spec(w, m) for w in GROUPED for m in ("ooo", "crisp")]
+    clean = run_cells(specs, jobs=1)
+
+    monkeypatch.setenv(
+        "REPRO_TEST_CRASH_SENTINEL", str(tmp_path / "crashed-once"))
+    monkeypatch.setattr(
+        executor_module, "_pool_run_cell", _suicidal_pool_run_cell)
+    submitted = _record_submissions(monkeypatch)
+    stats = PoolStats()
+    survived = run_cells(specs, jobs=2, retries=1, stats=stats)
+
+    assert stats.pool_rebuilds == 1
+    assert stats.worker_crashes >= 2  # at least the dead worker's group
+    assert stats.retries == stats.worker_crashes
+    assert sum(r.attempts == 2 for r in survived) == stats.worker_crashes
+    assert [len(task) for task in submitted] == [2] * 4 + [1] * stats.worker_crashes
+    for c, s in zip(clean, survived):
+        assert s.ok and s.stats == c.stats and s.ipc == c.ipc
+
+
+# -- cells that share an input share its work ----------------------------------
+
+
+def test_in_process_run_builds_and_emulates_each_input_once(monkeypatch):
+    builds, executes = [], []
+    real_build, real_execute = base.WorkloadRegistry.build, base.execute
+
+    def build(self, name, variant="ref", scale=1.0):
+        builds.append((name, variant))
+        return real_build(self, name, variant, scale)
+
+    def execute(program, **kwargs):
+        executes.append(program)
+        return real_execute(program, **kwargs)
+
+    monkeypatch.setattr(base.WorkloadRegistry, "build", build)
+    monkeypatch.setattr(base, "execute", execute)
+    specs = [spec(w, m) for w in ("mcf", "lbm") for m in ("ooo", "crisp", "ibda-1k")]
+    assert all(r.ok for r in run_cells(specs, jobs=1))
+    assert sorted(builds) == sorted(
+        (w, v) for w in ("mcf", "lbm") for v in ("ref", "train"))
+    assert len(executes) == len(builds)
+
+
+def _record_submissions(monkeypatch) -> list:
+    """The cell specs of every task the executor submits to a pool."""
+    submitted = []
+
+    class RecordingPool(executor_module.ProcessPoolExecutor):
+        def submit(self, fn, specs, *args, **kwargs):
+            submitted.append(specs)
+            return super().submit(fn, specs, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+    return submitted
+
+
+def _append_event(path, *event):
+    with open(path, "a") as handle:
+        handle.write(" ".join(map(str, event)) + "\n")
+
+
+def test_grouped_worker_builds_the_shared_input_after_the_fdo_flow(
+        tmp_path, monkeypatch):
+    events = tmp_path / "events"
+    real_build, real_flow = base.WorkloadRegistry.build, fdo.run_crisp_flow
+
+    def build(self, name, variant="ref", scale=1.0):
+        _append_event(events, os.getpid(), "build", name, variant)
+        return real_build(self, name, variant, scale)
+
+    def flow(name, *args, **kwargs):
+        result = real_flow(name, *args, **kwargs)
+        _append_event(events, os.getpid(), "fdo-done", name, "train")
+        return result
+
+    monkeypatch.setattr(base.WorkloadRegistry, "build", build)
+    monkeypatch.setattr(fdo, "run_crisp_flow", flow)
+    specs = [spec(w, m) for w in GROUPED for m in ("ooo", "crisp")]
+    assert all(r.ok for r in run_cells(specs, jobs=2))
+
+    lines = [line.split() for line in events.read_text().splitlines()]
+    for workload in GROUPED:
+        pids = {pid for pid, _, name, _ in lines if name == workload}
+        assert len(pids) == 1  # one task, one worker
+        steps = [(what, variant) for _, what, name, variant in lines
+                 if name == workload]
+        assert steps.count(("build", "ref")) == 1
+        assert steps.index(("fdo-done", "train")) < steps.index(("build", "ref"))
+
+
+@pytest.mark.parametrize("workloads, tasks", [
+    # Three groups on two workers: one task per cell, FDO cells first.
+    (GROUPED[:3], [[f"{w}/crisp"] for w in GROUPED[:3]]
+                  + [[f"{w}/ooo"] for w in GROUPED[:3]]),
+    # Four groups: one task per group, its FDO cell first.
+    (GROUPED, [[f"{w}/crisp", f"{w}/ooo"] for w in GROUPED]),
+], ids=["per-cell", "grouped"])
+def test_pool_groups_only_with_two_groups_per_worker(
+        monkeypatch, workloads, tasks):
+    submitted = _record_submissions(monkeypatch)
+    specs = [spec(w, m) for w in workloads for m in ("ooo", "crisp")]
+    assert all(r.ok for r in run_cells(specs, jobs=2))
+    assert [[cell.label() for cell in task] for task in submitted] == tasks
+
+
+def test_grouped_pool_run_matches_serial_and_one_cell_per_call():
+    specs = [spec(w, m) for w in GROUPED for m in ("ooo", "crisp")]
+    specs.append(spec("mcf", "ibda-1k"))
+    pooled = run_cells(specs, jobs=2)
+    serial = run_cells(specs, jobs=1)
+    alone = [run_cells([cell], jobs=1)[0] for cell in specs]
+    for p, s, a in zip(pooled, serial, alone):
+        assert p.ok and s.ok and a.ok
+        assert p.stats.digest() == s.stats.digest() == a.stats.digest()
+        assert p.ipc == s.ipc == a.ipc
+        assert p.critical_pcs == s.critical_pcs == a.critical_pcs

@@ -45,6 +45,22 @@ def test_pooled_sampled_run_is_bit_identical_to_serial():
         assert serial[2].critical_pcs
 
 
+def test_grouped_sampled_run_matches_serial_and_one_parent_per_call():
+    # Four inputs on two workers: the pool runs one task per input, and
+    # the ooo and crisp parents of an input share its build and trace.
+    specs = [spec(w, m) for w in ("mcf", "xz", "lbm", GEN) for m in ("ooo", "crisp")]
+    pooled = run_cells_sampled(specs, PLAN, jobs=2)
+    serial = run_cells_sampled(specs, PLAN, jobs=1)
+    alone = [run_cells_sampled([cell], PLAN, jobs=1)[0] for cell in specs]
+    for caller, p, s, a in zip(specs, pooled, serial, alone):
+        assert p.ok and s.ok and a.ok
+        assert p.spec is caller and s.spec is caller
+        assert p.ipc == s.ipc == a.ipc
+        assert p.critical_pcs == s.critical_pcs == a.critical_pcs
+        assert p.stats.digest() == s.stats.digest() == a.stats.digest()
+        assert p.estimate == s.estimate == a.estimate
+
+
 @pytest.mark.parametrize("reverse", [False, True], ids=["plan-order", "reversed"])
 def test_every_interval_matches_the_self_warming_reference(monkeypatch, reverse):
     """The one-pass warmer gives each interval the stats of an interval
