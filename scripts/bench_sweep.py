@@ -15,9 +15,10 @@ layer (docs/PARALLEL.md): identical per-cell results, every warm lookup a
 hit, and a wall-clock drop.
 
 A second section benchmarks sampled simulation (docs/SAMPLING.md): one
-full detailed run vs a ``--sample`` run of the same workload, recording
-wall-clock for both, the detailed-cycle reduction, and the absolute IPC
-error — the acceptance evidence for the sampling layer.
+full detailed run vs a ``--sample`` run of the same workload, each from
+its own freshly built (not yet emulated) input and timed in both orders,
+recording wall-clock for both, the detailed-cycle reduction, and the
+absolute IPC error — the acceptance evidence for the sampling layer.
 
 A third section races the two cycle-model engines (docs/ENGINE.md): each
 workload runs in detail under ``--engine=obj`` and ``--engine=array``
@@ -76,19 +77,50 @@ def run_pass(workloads, modes, scale, jobs, cache, out):
 
 
 def bench_sampled_vs_full(workload_name: str, scale: float, sample: str) -> dict:
-    """Time one full detailed run against a sampled run of the same cell."""
+    """Time one full detailed run against a sampled run of the same cell.
+
+    Both sides start from the same state: a freshly built workload that
+    has not been emulated, so each pays for its own emulation and decode
+    and neither reuses a trace the other memoized. Both code paths first
+    run once untimed at a small scale, so neither timed run pays for a
+    lazy import. Both orders are timed (full first, then sampled first,
+    each run on a new workload); the top-level wall-clocks are the means
+    over the two orders.
+    """
     from repro.sampling import parse_sample, simulate_sampled
     from repro.sim import simulate
     from repro.workloads import get_workload
 
-    workload = get_workload(workload_name, scale=scale)
-    start = time.perf_counter()
-    full = simulate(workload, "ooo").stats
-    full_s = time.perf_counter() - start
+    def run_full(at_scale=scale):
+        workload = get_workload(workload_name, scale=at_scale)
+        start = time.perf_counter()
+        stats = simulate(workload, "ooo").stats
+        return time.perf_counter() - start, stats
 
-    start = time.perf_counter()
-    est = simulate_sampled(workload, "ooo", plan=parse_sample(sample))
-    sampled_s = time.perf_counter() - start
+    def run_sampled(at_scale=scale):
+        workload = get_workload(workload_name, scale=at_scale)
+        start = time.perf_counter()
+        est = simulate_sampled(workload, "ooo", plan=parse_sample(sample))
+        return time.perf_counter() - start, est
+
+    run_full(0.05)
+    run_sampled(0.05)
+    orders = []
+    for first in ("full", "sampled"):
+        if first == "full":
+            full_s, full = run_full()
+            sampled_s, est = run_sampled()
+        else:
+            sampled_s, est = run_sampled()
+            full_s, full = run_full()
+        orders.append({
+            "first": first,
+            "full_wall_s": round(full_s, 3),
+            "sampled_wall_s": round(sampled_s, 3),
+            "wall_speedup": round(full_s / sampled_s, 2) if sampled_s else None,
+        })
+    full_s = sum(o["full_wall_s"] for o in orders) / len(orders)
+    sampled_s = sum(o["sampled_wall_s"] for o in orders) / len(orders)
 
     error = abs(est.ipc - full.ipc) / full.ipc if full.ipc else 0.0
     return {
@@ -98,6 +130,7 @@ def bench_sampled_vs_full(workload_name: str, scale: float, sample: str) -> dict
         "full_wall_s": round(full_s, 3),
         "sampled_wall_s": round(sampled_s, 3),
         "wall_speedup": round(full_s / sampled_s, 2) if sampled_s else None,
+        "orders": orders,
         "full_ipc": round(full.ipc, 4),
         "sampled_ipc": round(est.ipc, 4),
         "abs_ipc_error_pct": round(100 * error, 2),

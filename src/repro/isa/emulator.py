@@ -20,10 +20,12 @@ line 31 in the paper).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .instruction import DynInst, StaticInst
+from .instruction import DynInst
 from .opcodes import (
     ALU_FUNCTIONS,
     BRANCH_CONDITIONS,
@@ -102,6 +104,49 @@ class ExecutionTrace:
         return self.insts[seq + 1].pc
 
 
+#: Dispatch codes of the per-PC table :func:`execute` builds, one per
+#: opcode class. ``_OFF_END`` marks the slot one past the last PC, the
+#: only out-of-range PC a validated program can reach (a fall-through
+#: or a return past its last instruction).
+(_ALU_IMM, _LOAD, _BRANCH, _ALU, _STORE, _MOVI, _MOV, _LOAD_IDX, _STORE_IDX,
+ _PREFETCH, _JMP, _CALL, _RET, _NOP, _HALT, _OFF_END) = range(16)
+
+_CODES = {
+    **{op: _ALU_IMM if op in IMMEDIATE_ALU_OPS else _ALU for op in ALU_FUNCTIONS},
+    **{op: _BRANCH for op in BRANCH_CONDITIONS},
+    Opcode.MOVI: _MOVI,
+    Opcode.MOV: _MOV,
+    Opcode.LOAD: _LOAD,
+    Opcode.LOAD_IDX: _LOAD_IDX,
+    Opcode.STORE: _STORE,
+    Opcode.STORE_IDX: _STORE_IDX,
+    Opcode.PREFETCH: _PREFETCH,
+    Opcode.JMP: _JMP,
+    Opcode.CALL: _CALL,
+    Opcode.RET: _RET,
+    Opcode.NOP: _NOP,
+    Opcode.HALT: _HALT,
+}
+
+#: A ``DynInst``'s static PC, read at C speed to count executions.
+_static_pc = attrgetter("sinst.idx")
+
+
+def _dispatch_table(program: Program) -> list[tuple]:
+    """Per-PC ``(code, dst, src1, src2, imm, target, fn, sinst)`` rows.
+
+    ``fn`` is the opcode's ALU or branch-condition function, else
+    ``None``. One extra ``_OFF_END`` row follows the last PC.
+    """
+    table = [
+        (_CODES[s.opcode], s.dst, s.src1, s.src2, s.imm, s.target,
+         ALU_FUNCTIONS.get(s.opcode) or BRANCH_CONDITIONS.get(s.opcode), s)
+        for s in program.insts
+    ]
+    table.append((_OFF_END, None, None, None, 0, None, None, None))
+    return table
+
+
 def execute(
     program: Program,
     *,
@@ -110,6 +155,12 @@ def execute(
     max_insts: int = 5_000_000,
 ) -> ExecutionTrace:
     """Functionally execute ``program`` and return its dynamic trace.
+
+    The static program is first lowered, once per call, into a per-PC
+    table of a small-int dispatch code, the operands and the ALU or
+    branch function; each dynamic instruction then unpacks its PC's row
+    and branches on the code. ``tests/isa/test_trace_identity.py`` pins
+    every trace this produces, errors included.
 
     Parameters
     ----------
@@ -129,117 +180,120 @@ def execute(
     image_get = ({} if memory is None else memory).get
     # Store overlay: word -> (value, seq of the producing store).
     stores: dict[int, tuple[int, int]] = {}
+    stores_get = stores.get
 
     # Producer tracking for register dependence links.
     reg_writer = [-1] * NUM_REGS
 
     trace: list[DynInst] = []
-    exec_counts: dict[int, int] = {}
+    append = trace.append
     call_stack: list[int] = []
+    table = _dispatch_table(program)
     pc = 0
-    n = len(program)
-    halted = False
+    seq = 0
 
     while True:
-        if not 0 <= pc < n:
-            raise EmulationError(f"PC out of range: {pc}")
-        if len(trace) >= max_insts:
+        code, dst, src1, src2, imm, target, fn, sinst = table[pc]
+        if seq >= max_insts and code != _OFF_END:
             raise EmulationLimitError(
                 f"dynamic instruction limit ({max_insts}) exceeded at pc={pc}"
             )
-        sinst: StaticInst = program[pc]
-        op = sinst.opcode
-        seq = len(trace)
-        exec_counts[pc] = exec_counts.get(pc, 0) + 1
-
-        if op is Opcode.HALT:
-            trace.append(DynInst(seq, sinst))
-            halted = True
-            break
-
-        addr = -1
-        taken: bool | None = None
-        mem_src = -1
-        reg_srcs: tuple[int, ...] = ()
-        next_pc = pc + 1
-
-        if op is Opcode.MOVI:
-            reg_file[sinst.dst] = sinst.imm
-            reg_writer[sinst.dst] = seq
-        elif op is Opcode.MOV:
-            reg_srcs = (reg_writer[sinst.src1],)
-            reg_file[sinst.dst] = reg_file[sinst.src1]
-            reg_writer[sinst.dst] = seq
-        elif op in ALU_FUNCTIONS:
-            a = reg_file[sinst.src1]
-            if op in IMMEDIATE_ALU_OPS:
-                b = sinst.imm
-                reg_srcs = (reg_writer[sinst.src1],)
-            else:
-                b = reg_file[sinst.src2]
-                reg_srcs = (reg_writer[sinst.src1], reg_writer[sinst.src2])
-            reg_file[sinst.dst] = ALU_FUNCTIONS[op](a, b)
-            reg_writer[sinst.dst] = seq
-        elif op is Opcode.LOAD or op is Opcode.LOAD_IDX:
-            addr = reg_file[sinst.src1] + sinst.imm
-            if op is Opcode.LOAD_IDX:
-                addr += reg_file[sinst.src2]
-                reg_srcs = (reg_writer[sinst.src1], reg_writer[sinst.src2])
-            else:
-                reg_srcs = (reg_writer[sinst.src1],)
-            word = addr >> 3
-            stored = stores.get(word)
+        if code == _ALU_IMM:
+            reg_file[dst] = fn(reg_file[src1], imm)
+            append(DynInst(seq, sinst, -1, None, (reg_writer[src1],)))
+            reg_writer[dst] = seq
+            pc += 1
+        elif code == _LOAD:
+            addr = reg_file[src1] + imm
+            stored = stores_get(addr >> 3)
             if stored is None:
-                reg_file[sinst.dst] = image_get(word, 0)
+                reg_file[dst] = image_get(addr >> 3, 0)
+                append(DynInst(seq, sinst, addr, None, (reg_writer[src1],)))
             else:
-                reg_file[sinst.dst], mem_src = stored
-            reg_writer[sinst.dst] = seq
-        elif op is Opcode.STORE or op is Opcode.STORE_IDX:
-            addr = reg_file[sinst.src1] + sinst.imm
-            if op is Opcode.STORE_IDX:
-                addr += reg_file[sinst.src2]
-                reg_srcs = (
-                    reg_writer[sinst.src1],
-                    reg_writer[sinst.src2],
-                    reg_writer[sinst.dst],
-                )
+                reg_file[dst] = stored[0]
+                append(DynInst(seq, sinst, addr, None, (reg_writer[src1],),
+                               stored[1]))
+            reg_writer[dst] = seq
+            pc += 1
+        elif code == _BRANCH:
+            taken = fn(reg_file[src1], reg_file[src2])
+            append(DynInst(seq, sinst, -1, taken,
+                           (reg_writer[src1], reg_writer[src2])))
+            pc = target if taken else pc + 1
+        elif code == _ALU:
+            reg_file[dst] = fn(reg_file[src1], reg_file[src2])
+            append(DynInst(seq, sinst, -1, None,
+                           (reg_writer[src1], reg_writer[src2])))
+            reg_writer[dst] = seq
+            pc += 1
+        elif code == _STORE:
+            addr = reg_file[src1] + imm
+            stores[addr >> 3] = (reg_file[dst], seq)
+            append(DynInst(seq, sinst, addr, None,
+                           (reg_writer[src1], reg_writer[dst])))
+            pc += 1
+        elif code == _MOVI:
+            reg_file[dst] = imm
+            append(DynInst(seq, sinst))
+            reg_writer[dst] = seq
+            pc += 1
+        elif code == _MOV:
+            reg_file[dst] = reg_file[src1]
+            append(DynInst(seq, sinst, -1, None, (reg_writer[src1],)))
+            reg_writer[dst] = seq
+            pc += 1
+        elif code == _LOAD_IDX:
+            addr = reg_file[src1] + imm
+            addr += reg_file[src2]
+            reg_srcs = (reg_writer[src1], reg_writer[src2])
+            stored = stores_get(addr >> 3)
+            if stored is None:
+                reg_file[dst] = image_get(addr >> 3, 0)
+                append(DynInst(seq, sinst, addr, None, reg_srcs))
             else:
-                reg_srcs = (reg_writer[sinst.src1], reg_writer[sinst.dst])
-            stores[addr >> 3] = (reg_file[sinst.dst], seq)
-        elif op is Opcode.PREFETCH:
-            addr = reg_file[sinst.src1] + sinst.imm
-            reg_srcs = (reg_writer[sinst.src1],)
-        elif op in BRANCH_CONDITIONS:
-            a = reg_file[sinst.src1]
-            b = reg_file[sinst.src2]
-            reg_srcs = (reg_writer[sinst.src1], reg_writer[sinst.src2])
-            taken = BRANCH_CONDITIONS[op](a, b)
-            if taken:
-                next_pc = sinst.target
-        elif op is Opcode.JMP:
-            taken = True
-            next_pc = sinst.target
-        elif op is Opcode.CALL:
-            taken = True
+                reg_file[dst] = stored[0]
+                append(DynInst(seq, sinst, addr, None, reg_srcs, stored[1]))
+            reg_writer[dst] = seq
+            pc += 1
+        elif code == _STORE_IDX:
+            addr = reg_file[src1] + imm
+            addr += reg_file[src2]
+            stores[addr >> 3] = (reg_file[dst], seq)
+            append(DynInst(seq, sinst, addr, None, (
+                reg_writer[src1], reg_writer[src2], reg_writer[dst])))
+            pc += 1
+        elif code == _PREFETCH:
+            append(DynInst(seq, sinst, reg_file[src1] + imm, None,
+                           (reg_writer[src1],)))
+            pc += 1
+        elif code == _JMP:
+            append(DynInst(seq, sinst, -1, True))
+            pc = target
+        elif code == _CALL:
+            append(DynInst(seq, sinst, -1, True))
             call_stack.append(pc + 1)
-            next_pc = sinst.target
-        elif op is Opcode.RET:
-            taken = True
+            pc = target
+        elif code == _RET:
             if not call_stack:
                 raise EmulationError(f"RET with empty call stack at pc={pc}")
-            next_pc = call_stack.pop()
-        elif op is Opcode.NOP:
-            pass
-        else:  # pragma: no cover - enum is exhaustive
-            raise EmulationError(f"unhandled opcode {op}")
+            append(DynInst(seq, sinst, -1, True))
+            pc = call_stack.pop()
+        elif code == _NOP:
+            append(DynInst(seq, sinst))
+            pc += 1
+        elif code == _HALT:
+            append(DynInst(seq, sinst))
+            break
+        else:
+            raise EmulationError(f"PC out of range: {pc}")
+        seq += 1
 
-        trace.append(DynInst(seq, sinst, addr=addr, taken=taken, reg_srcs=reg_srcs, mem_src=mem_src))
-        pc = next_pc
-
+    # Counter keys come in first-execution order.
+    exec_counts = dict(Counter(map(_static_pc, trace)))
     return ExecutionTrace(
         program=program,
         insts=trace,
         final_regs=reg_file,
-        halted=halted,
+        halted=True,
         exec_counts=exec_counts,
     )

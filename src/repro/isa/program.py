@@ -50,6 +50,22 @@ class CodeLayout:
         last = end // line_bytes
         return tuple(line * line_bytes for line in range(first, last + 1))
 
+    def line_probes(self, line_bytes: int) -> list:
+        """Per-PC i-cache probes, in the order fetch makes them.
+
+        Entry ``i`` is the line address of instruction ``i``'s first byte,
+        or a ``(first, last)`` pair of line addresses when its encoding
+        straddles two lines. The array engine's fetch and the functional
+        warmer both probe from this table.
+        """
+        line_mask = ~(line_bytes - 1)
+        probes: list = []
+        for start, size in zip(self.addresses, self.sizes):
+            first = start & line_mask
+            last = (start + size - 1) & line_mask
+            probes.append(first if first == last else (first, last))
+        return probes
+
 
 class Program:
     """A validated, immutable program in the mini-ISA."""
@@ -86,6 +102,35 @@ class Program:
     @property
     def insts(self) -> tuple[StaticInst, ...]:
         return self._insts
+
+    def pc_kinds(self) -> tuple[bytearray, bytearray]:
+        """Per-PC data-access and branch kinds, one byte each.
+
+        ``access[pc]``: 0 no data access, 1 load, 2 store, 3 software
+        prefetch. ``branch[pc]``: 0 not a branch, 1 conditional, 2 return,
+        3 call, 4 other unconditional -- the dispatch switch of
+        ``Pipeline._predict_branch``. The array engine's decode and the
+        functional warmer both classify through this one pass.
+        """
+        access = bytearray(len(self._insts))
+        branch = bytearray(len(self._insts))
+        for pc, inst in enumerate(self._insts):
+            if inst.is_load:
+                access[pc] = 1
+            elif inst.is_prefetch:
+                access[pc] = 3
+            elif inst.is_store:
+                access[pc] = 2
+            if inst.is_branch:
+                if inst.is_cond_branch:
+                    branch[pc] = 1
+                elif inst.is_ret:
+                    branch[pc] = 2
+                elif inst.is_call:
+                    branch[pc] = 3
+                else:
+                    branch[pc] = 4
+        return access, branch
 
     def layout(self, critical_pcs: frozenset[int] | set[int] = frozenset()) -> CodeLayout:
         """Compute byte addresses, adding the CRISP prefix to ``critical_pcs``.

@@ -72,65 +72,132 @@ class FunctionalWarmer:
         self.clock = 0
         self.warmed_insts = 0
         self._last_line = -1
+        # Per-PC rows the walk reads: (code address, i-line probe, access
+        # kind, branch kind); see warm().
+        self._rows = list(zip(
+            self.layout.addresses,
+            self.layout.line_probes(cfg.hierarchy.line_bytes),
+            *program.pc_kinds(),
+        ))
 
     # -- replay ---------------------------------------------------------------
 
     def warm(self, trace, start: int = 0, end: int | None = None) -> None:
-        """Functionally apply trace positions ``[start, end)``."""
+        """Functionally apply trace positions ``[start, end)``.
+
+        Each dynamic instruction reads its PC's row of the table the
+        constructor built from the warmer's layout: code address, i-line
+        probe (one line, or a pair when the encoding straddles two) and
+        the access and branch kinds of
+        :meth:`~repro.isa.program.Program.pc_kinds`, the classification
+        the array engine's decode uses; nothing is decoded per dynamic
+        instruction ahead of the walk. TAGE, BTB and RAS train inline in
+        the order ``Pipeline._predict_branch`` updates them. An L1I or L1D
+        hit with no fill pending (``now < hier._next_fill``) applies the
+        hierarchy's hit branch inline, as ``ArrayPipeline.cycles`` does;
+        every other access goes through the ``MemoryHierarchy`` call. The
+        walk leaves every attribute byte-identical to a per-``DynInst``
+        walk through those calls, which ``tests/sampling/test_warmup.py``
+        keeps as the reference.
+        """
         insts = trace.insts
+        n = len(insts)
         if end is None:
-            end = len(insts)
+            end = n
         hier = self.hierarchy
         addrs = self.layout.addresses
-        sizes = self.layout.sizes
-        line_mask = ~(hier.config.line_bytes - 1)
+        line_bytes = hier.config.line_bytes
+        rows = self._rows
+        hier_ifetch = hier.inst_fetch
+        hier_load = hier.load
+        hier_store = hier.store
+        l1i = hier.l1i
+        l1i_sets = l1i._sets
+        l1i_nsets = l1i.num_sets
+        l1i_stats = l1i.stats
+        l1d = hier.l1d
+        l1d_sets = l1d._sets
+        l1d_nsets = l1d.num_sets
+        l1d_stats = l1d.stats
+        predict = self.predictor.predict
+        update = self.predictor.update
+        note_branch = self.predictor.note_branch
+        btb_lookup = self.btb.lookup
+        btb_update = self.btb.update
+        ras = self.ras
+        now = self.clock
+        last_line = self._last_line
         for pos in range(start, end):
             d = insts[pos]
-            self.clock += CLOCK_STRIDE
-            now = self.clock
-            pc_addr = addrs[d.pc]
-            end_addr = pc_addr + sizes[d.pc] - 1
+            now += CLOCK_STRIDE
+            pc = d.sinst.idx
+            pc_addr, probe, access, branch = rows[pc]
             # Instruction side: same per-line probing as pipeline fetch.
-            for probe in (pc_addr & line_mask, end_addr & line_mask):
-                if probe != self._last_line:
-                    hier.inst_fetch(probe, now)
-                    self._last_line = probe
-            sinst = d.sinst
-            if sinst.is_branch:
-                self._train_branch(trace, pos, d, sinst, pc_addr)
-            if sinst.is_load:
+            if probe != last_line:
+                for line in ((probe,) if probe.__class__ is int else probe):
+                    if line == last_line:
+                        continue
+                    last_line = line
+                    if now < hier._next_fill:
+                        cset = l1i_sets[(line // line_bytes) % l1i_nsets]
+                        if line in cset:
+                            # Inlined L1I hit (inst_fetch's hit branch).
+                            if now > hier.last_advance:
+                                hier.last_advance = now
+                            l1i_stats.accesses += 1
+                            l1i_stats.hits += 1
+                            l1i._tick += 1
+                            cset[line] = l1i._tick
+                            continue
+                    hier_ifetch(line, now)
+            if branch:  # no branch accesses data
+                if branch == 1:  # conditional
+                    taken = d.taken
+                    predicted = predict(pc_addr, taken)
+                    update(pc_addr, taken)
+                    # A mispredict or a correct not-taken leaves the BTB be.
+                    if predicted != taken or not taken:
+                        continue
+                else:
+                    note_branch(True)
+                    if branch == 2:  # return
+                        ras.pop()
+                        continue
+                    if branch == 3:  # call
+                        ras.push(addrs[pc + 1])
+                nxt = pos + 1
+                btb_lookup(pc_addr)
+                btb_update(pc_addr, addrs[
+                    insts[nxt].sinst.idx if nxt < n else trace.pc_after(pos)
+                ])
+                continue
+            if access:
+                if access == 3:  # software prefetch
+                    hier.software_prefetch(pc_addr, d.addr, now)
+                    continue
                 # Loads with an in-trace producing store are assumed
                 # store-forwarded (the overwhelmingly common detailed-sim
                 # outcome) and do not touch the hierarchy.
-                if d.mem_src < 0:
-                    hier.load(pc_addr, d.addr, now)
-            elif sinst.is_store:
-                hier.store(pc_addr, d.addr, now)
-            elif sinst.is_prefetch:
-                hier.software_prefetch(pc_addr, d.addr, now)
+                if access == 1 and d.mem_src >= 0:
+                    continue
+                ad = d.addr
+                line = ad - (ad % line_bytes)
+                cset = l1d_sets[(line // line_bytes) % l1d_nsets]
+                if now < hier._next_fill and line in cset:
+                    # Inlined L1D hit (load's and store's shared hit branch).
+                    if now > hier.last_advance:
+                        hier.last_advance = now
+                    l1d_stats.accesses += 1
+                    l1d_stats.hits += 1
+                    l1d._tick += 1
+                    cset[line] = l1d._tick
+                elif access == 1:
+                    hier_load(pc_addr, ad, now)
+                else:
+                    hier_store(pc_addr, ad, now)
+        self.clock = now
+        self._last_line = last_line
         self.warmed_insts += max(0, end - start)
-
-    def _train_branch(self, trace, pos, d, sinst, pc_addr) -> None:
-        """Mirror ``Pipeline._predict_branch`` state updates (sans stats)."""
-        addrs = self.layout.addresses
-        if sinst.is_cond_branch:
-            predicted = self.predictor.predict(pc_addr, d.taken)
-            self.predictor.update(pc_addr, d.taken)
-            # On a mispredict (or a correct not-taken) the pipeline returns
-            # before touching the BTB.
-            if predicted != d.taken or not d.taken:
-                return
-            self.btb.lookup(pc_addr)
-            self.btb.update(pc_addr, addrs[trace.pc_after(pos)])
-            return
-        self.predictor.note_branch(True)
-        if sinst.is_ret:
-            self.ras.pop()
-            return
-        if sinst.is_call:
-            self.ras.push(addrs[sinst.idx + 1])
-        self.btb.lookup(pc_addr)
-        self.btb.update(pc_addr, addrs[trace.pc_after(pos)])
 
     # -- handoff --------------------------------------------------------------
 

@@ -44,7 +44,7 @@ from array import array
 from collections import deque
 from itertools import accumulate, compress
 
-from ..isa.opcodes import FuClass, Opcode
+from ..isa.opcodes import FuClass
 from ..resilience.errors import InvariantViolation
 from .pipeline import Pipeline
 from .stats import PcLoadStats
@@ -99,15 +99,8 @@ class ArrayPipeline(Pipeline):
         layout = self.layout
         addresses = layout.addresses
         sizes = layout.sizes
-        line_mask = ~(self.hierarchy.config.line_bytes - 1)
-        probes_pc: list = []
-        line_pc: list[int] = []
-        for pc in range(len(trace.program.insts)):
-            a = addresses[pc]
-            line0 = a & line_mask
-            line1 = (a + sizes[pc] - 1) & line_mask
-            probes_pc.append(line0 if line0 == line1 else (line0, line1))
-            line_pc.append(line0)
+        probes_pc = layout.line_probes(self.hierarchy.config.line_bytes)
+        line_pc = [p if p.__class__ is int else p[0] for p in probes_pc]
         la_a = list(map(addresses.__getitem__, pc_a))
         probes_a = list(map(probes_pc.__getitem__, pc_a))
         ftq_line_a = list(map(line_pc.__getitem__, pc_a))
@@ -164,10 +157,8 @@ class ArrayPipeline(Pipeline):
         # bit0 needs-RS, bit1 load, bit2 store, bit3 branch — one fused
         # flag byte per PC so the loop reads one table, not four.
         flags_pc: list[int] = []
-        kind_pc = bytearray(len(statics))  # 0 ALU, 1 load, 2 store, 3 prefetch
-        # 0 not a branch, 1 conditional, 2 return, 3 call, 4 plain
-        # unconditional — the dispatch switch of Pipeline._predict_branch.
-        brkind_pc = bytearray(len(statics))
+        # Access and branch kind codes: see Program.pc_kinds.
+        kind_pc, brkind_pc = trace.program.pc_kinds()
         lat_pc: list[int] = []
         isload_pc = bytearray(len(statics))
         isstore_pc = bytearray(len(statics))
@@ -175,27 +166,16 @@ class ArrayPipeline(Pipeline):
             fu = s.fu
             fu_pc.append(fu_index[fu])
             f = 0 if fu is FuClass.NONE else 1
-            if s.is_load:
+            kind = kind_pc[pc]
+            if kind == 1:
                 isload_pc[pc] = 1
-                kind_pc[pc] = 1
                 f |= 2
-            elif s.opcode is Opcode.PREFETCH:
-                kind_pc[pc] = 3
-            elif s.is_store:
+            elif kind == 2:
                 isstore_pc[pc] = 1
-                kind_pc[pc] = 2
                 f |= 4
             lat_pc.append(s.latency)
-            if s.is_branch:
+            if brkind_pc[pc]:
                 f |= 8
-                if s.is_cond_branch:
-                    brkind_pc[pc] = 1
-                elif s.is_ret:
-                    brkind_pc[pc] = 2
-                elif s.is_call:
-                    brkind_pc[pc] = 3
-                else:
-                    brkind_pc[pc] = 4
             flags_pc.append(f)
 
         # Broadcast to per-seq arrays (bulk passes over the dynamic trace).

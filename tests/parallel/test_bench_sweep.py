@@ -53,6 +53,7 @@ def test_bench_records_sampled_vs_full_section(tmp_path):
     ):
         assert key in row
     assert row["detailed_cycles"] < row["full_cycles"]
+    assert [order["first"] for order in row["orders"]] == ["full", "sampled"]
 
 
 def test_bench_records_engines_section():
