@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..parallel.cellkey import CellSpec, cell_key
 from ..parallel.executor import CellResult
@@ -35,8 +36,9 @@ class PlannedCell:
     instance: Instance
     spec: CellSpec
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The spec's cell key, hashed once (``CellSpec`` is frozen)."""
         return cell_key(self.spec)
 
 

@@ -39,12 +39,20 @@ class RunIdentityError(ValueError):
 
 
 def atomic_write_json(path: Path, payload: dict) -> None:
-    """Write JSON via temp file + rename (a kill leaves old or new)."""
+    """Write compact sorted-key JSON via temp file + rename (a kill leaves
+    old or new).
+
+    No indentation: ``json.dumps`` without ``indent`` runs CPython's C
+    encoder, about 4x faster than the pure-Python one any indent selects.
+    ``python -m json.tool FILE`` prints a file readably, and readers use
+    ``json.load``, so run dirs written indented still load.
+    """
+    text = json.dumps(payload, sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
+            handle.write(text)
         os.replace(tmp, str(path))
     except BaseException:
         if os.path.exists(tmp):

@@ -232,6 +232,9 @@ def execute_run(
         if on_cell is not None:
             on_cell(key, result)
 
+    # The manifest records this run's cache traffic, not the cache
+    # object's lifetime totals.
+    start = replace(cache.stats) if cache is not None else None
     if pending:
         knobs = dict(cycle_budget=cycle_budget, invariants=invariants,
                      crash_dir=crash_dir)
@@ -253,9 +256,8 @@ def execute_run(
     manifest["cells_done"] = len(plan) - len(failed)
     if cache is not None:
         manifest["cache"] = {
-            "hits": cache.stats.hits,
-            "misses": cache.stats.misses,
-            "stores": cache.stats.stores,
+            name: getattr(cache.stats, name) - getattr(start, name)
+            for name in ("hits", "misses", "stores")
         }
     atomic_write_json(manifest_path(path), manifest)
 

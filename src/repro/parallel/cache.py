@@ -129,13 +129,16 @@ class ResultCache:
         payload = dict(payload)
         payload["schema"] = CACHE_SCHEMA_VERSION
         payload["key"] = key
+        # json.dumps without indent runs CPython's C encoder (json.dump on
+        # a handle never does); the bytes are the same either way.
+        text = json.dumps(payload, sort_keys=True)
         path = self.path_for(key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

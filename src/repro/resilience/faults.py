@@ -261,7 +261,8 @@ class ChaosInjector:
         if not entries:
             return None
         path = self.rng.choice(entries)
-        data = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            data = handle.read()
         cut = self.rng.randrange(1, max(2, len(data)))
         with open(path, "wb") as handle:
             handle.write(data[:cut] + b"\xff")

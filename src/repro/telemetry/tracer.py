@@ -261,9 +261,10 @@ class EventTracer:
     def write_chrome_trace(self, path_or_file: str | IO[str], *, lanes: int = 8) -> int:
         """Write the Chrome trace JSON; returns the traceEvents count."""
         trace = self.to_chrome_trace(lanes=lanes)
+        text = json.dumps(trace)  # the C encoder; json.dump never uses it
         if hasattr(path_or_file, "write"):
-            json.dump(trace, path_or_file)
+            path_or_file.write(text)
         else:
             with open(path_or_file, "w") as handle:
-                json.dump(trace, handle)
+                handle.write(text)
         return len(trace["traceEvents"])

@@ -3,11 +3,12 @@ failure flags (docs/RESILIENCE.md)."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from repro.orchestrate import execute_run
+from repro.orchestrate import execute_run, report_run
 from repro.orchestrate.__main__ import main
 from repro.orchestrate.experiment import SuiteMatrix
 from repro.orchestrate.rundir import load_cells, load_manifest
@@ -100,3 +101,31 @@ def test_execute_run_hands_over_the_plan_specs_untouched(
     engine = resolve_engine(None)
     assert seen == [replace(cell.spec, engine=engine)
                     for cell in experiment.plan()]
+
+
+def test_an_indented_run_dir_resumes_and_reports_unchanged(
+        tmp_path, monkeypatch):
+    """Run-dir files used to be written with ``indent=1``; such a run dir
+    re-reports the same report and resumes with every cell done."""
+    run_dir = tmp_path / "run"
+    execute_run(cheap_experiment(), run_dir=run_dir)
+    compact = report_run(run_dir)
+    files = [run_dir / "manifest.json", run_dir / "report.json",
+             *(run_dir / "cells").glob("*.json")]
+    assert len(files) == 4
+    for path in files:
+        payload = json.loads(path.read_text())
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=1, sort_keys=True)
+
+    indented = report_run(run_dir)
+    del compact["generated"], indented["generated"]
+    assert indented == compact
+
+    seen = record_cells(monkeypatch)
+    assert main(["run", "--resume", "--run-dir", str(run_dir),
+                 "--no-cache"]) == 0
+    assert seen == []
+    manifest = load_manifest(run_dir)
+    assert manifest["status"] == "complete"
+    assert manifest["cells_done"] == 2

@@ -95,6 +95,8 @@ def test_warm_rerun_is_served_from_the_cache(tmp_path):
     assert [r.from_cache for r in seen] == [True]
     manifest = load_manifest(summary["run_dir"])
     assert manifest["cache"]["hits"] == 1
+    # The counters cover this run only, not the cache object's lifetime.
+    assert manifest["cache"] == {"hits": 1, "misses": 0, "stores": 0}
 
 
 # -- resume --------------------------------------------------------------------

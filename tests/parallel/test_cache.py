@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 
 import pytest
 
-from repro.parallel import CACHE_SCHEMA_VERSION, ResultCache
+from repro.parallel import CACHE_SCHEMA_VERSION, CellSpec, ResultCache, run_cells
+from repro.sampling import parse_sample, run_cells_sampled
 from repro.telemetry import StatsRegistry
 
 KEY_A = "a" * 64
@@ -45,7 +47,8 @@ def test_corrupt_entry_degrades_to_miss(cache):
 
 def test_schema_mismatch_degrades_to_miss(cache):
     path = cache.put(KEY_A, {"ipc": 1.0})
-    payload = json.load(open(path))
+    with open(path) as handle:
+        payload = json.load(handle)
     payload["schema"] = CACHE_SCHEMA_VERSION + 1
     with open(path, "w") as handle:
         json.dump(payload, handle)
@@ -134,7 +137,8 @@ def test_binary_garbage_is_counted_corrupt(cache):
 
 def test_mismatched_entry_is_counted_corrupt(cache):
     path = cache.put(KEY_A, {"ipc": 1.0})
-    payload = json.load(open(path))
+    with open(path) as handle:
+        payload = json.load(handle)
     payload["key"] = KEY_B  # stored under the wrong address
     with open(path, "w") as handle:
         json.dump(payload, handle)
@@ -161,3 +165,35 @@ def test_corrupt_counter_registers_into_telemetry(cache):
         handle.write("{")
     cache.get(KEY_A)
     assert registry.value("parallel.cache.corrupt") == 1
+
+
+class RecordingCache(ResultCache):
+    """A cache that keeps every ``(key, payload)`` handed to ``put``."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.puts = []
+
+    def put(self, key, payload):
+        self.puts.append((key, payload))
+        return super().put(key, payload)
+
+
+def test_entries_are_the_bytes_json_dump_wrote(tmp_path):
+    """``put`` encodes with ``json.dumps``; the file must hold exactly
+    what ``json.dump(entry, handle, sort_keys=True)`` wrote, so every
+    entry stays byte-identical. Real payloads: a crisp cell's per-PC
+    tables, critical PCs and floats, and a sampled parent's ``extra``."""
+    cache = RecordingCache(str(tmp_path / "cache"))
+    run_cells([CellSpec(workload="mcf", mode="crisp", scale=0.1)], cache=cache)
+    run_cells_sampled([CellSpec(workload="mcf", mode="ooo", scale=0.2)],
+                      parse_sample("smarts:400/2000"), cache=cache)
+    assert len(cache.puts) == 2
+    assert cache.puts[0][1]["critical_pcs"] and cache.puts[0][1]["stats"]["load_pcs"]
+    assert "sampled" in cache.puts[1][1]["extra"]
+    for key, payload in cache.puts:
+        entry = dict(payload, schema=CACHE_SCHEMA_VERSION, key=key)
+        reference = io.StringIO()
+        json.dump(entry, reference, sort_keys=True)
+        with open(cache.path_for(key)) as handle:
+            assert handle.read() == reference.getvalue()

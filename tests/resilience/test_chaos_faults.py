@@ -122,8 +122,9 @@ def test_corrupt_cache_entry_degrades_to_counted_miss(tmp_path):
     injector = ChaosInjector(seed=5)
     path = injector.corrupt_cache_entry(cache)
     assert path is not None
-    with pytest.raises(ValueError):  # JSONDecodeError or UnicodeDecodeError
-        json.loads(open(path, "rb").read())  # genuinely mangled on disk
+    with open(path, "rb") as handle, pytest.raises(ValueError):
+        # JSONDecodeError or UnicodeDecodeError: genuinely mangled on disk
+        json.loads(handle.read())
 
     rerun = run_cells(specs, jobs=1, cache=cache)
     assert cache.stats.corrupt == 1

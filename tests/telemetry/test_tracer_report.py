@@ -1,5 +1,6 @@
 """Event tracing + run reports: schema validity, golden trace, exports."""
 
+import io
 import json
 import pathlib
 
@@ -92,6 +93,23 @@ def test_chrome_trace_structure(tmp_path):
             assert ev["dur"] >= 1 and ev["ts"] >= 0
         if ev["ph"] == "C":
             assert "occupancy" == ev["name"] and isinstance(ev["args"], dict)
+
+
+def test_chrome_trace_is_one_c_encoded_dump(tmp_path):
+    """Path and file targets both get ``json.dumps`` of the trace, which
+    is byte for byte what ``json.dump`` streamed into the handle."""
+    tracer = EventTracer(sample_interval=4)
+    golden_pipeline(tracer).run()
+    expected = json.dumps(tracer.to_chrome_trace())
+    streamed = io.StringIO()
+    json.dump(tracer.to_chrome_trace(), streamed)
+    assert streamed.getvalue() == expected
+    path = tmp_path / "trace.chrome.json"
+    tracer.write_chrome_trace(str(path))
+    assert path.read_text() == expected
+    handle = io.StringIO()
+    tracer.write_chrome_trace(handle)
+    assert handle.getvalue() == expected
 
 
 def test_tracer_event_cap_counts_drops():
