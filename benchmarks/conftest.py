@@ -26,23 +26,20 @@ BENCH_SCALE = 0.5
 SWEEP_WORKLOADS = ["mcf", "lbm", "moses", "xhpcg", "deepsjeng", "memcached", "namd", "cactus"]
 
 
-@pytest.fixture(scope="session", autouse=True)
-def bench_execution():
-    """Let benchmark runs use the parallel layer (docs/PARALLEL.md).
+@pytest.fixture(scope="session")
+def bench_execution() -> dict:
+    """How benchmark runs execute cells: ``run_inline(**bench_execution)``.
 
     ``REPRO_BENCH_JOBS=N`` fans cells out over N worker processes and
-    ``REPRO_BENCH_CACHE=DIR`` reuses results across benchmark invocations.
-    Both default off so a plain ``pytest benchmarks/`` still measures the
-    serial, uncached numbers recorded in EXPERIMENTS.md.
+    ``REPRO_BENCH_CACHE=DIR`` reuses results across benchmark invocations
+    (docs/PARALLEL.md). Both default off so a plain ``pytest benchmarks/``
+    still measures the serial, uncached numbers recorded in EXPERIMENTS.md.
     """
-    from repro.experiments.common import execution_context
     from repro.parallel import ResultCache
 
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    cache = ResultCache(cache_dir) if cache_dir else None
-    with execution_context(jobs=jobs, cache=cache) as options:
-        yield options
+    return {"jobs": int(os.environ.get("REPRO_BENCH_JOBS", "1")),
+            "cache": ResultCache(cache_dir) if cache_dir else None}
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,9 @@ def _pct(cell: str) -> float:
     return float(cell.rstrip("%"))
 
 
-def test_ablation_ratio(benchmark, record_result):
+def test_ablation_ratio(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("ablation_ratio")(scale=BENCH_SCALE).run_inline(),
+        lambda: get_experiment("ablation_ratio")(scale=BENCH_SCALE).run_inline(**bench_execution),
         rounds=1,
         iterations=1,
     )
@@ -27,9 +27,10 @@ def test_ablation_ratio(benchmark, record_result):
     assert _pct(moses[-1]) < 0.5 * _pct(moses[1])
 
 
-def test_ablation_prefetchers(benchmark, record_result):
+def test_ablation_prefetchers(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("ablation_prefetchers")(scale=BENCH_SCALE).run_inline(),
+        lambda: get_experiment("ablation_prefetchers")(scale=BENCH_SCALE).run_inline(
+            **bench_execution),
         rounds=1,
         iterations=1,
     )
@@ -39,9 +40,10 @@ def test_ablation_prefetchers(benchmark, record_result):
             assert _pct(cell.split("/")[1].strip()) > -1.0, row[0]
 
 
-def test_ablation_perfect_bp(benchmark, record_result):
+def test_ablation_perfect_bp(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("ablation_perfect_bp")(scale=BENCH_SCALE).run_inline(),
+        lambda: get_experiment("ablation_perfect_bp")(scale=BENCH_SCALE).run_inline(
+            **bench_execution),
         rounds=1,
         iterations=1,
     )
@@ -50,9 +52,10 @@ def test_ablation_perfect_bp(benchmark, record_result):
     assert _pct(sjeng[2]) >= _pct(sjeng[1])
 
 
-def test_ablation_sampling(benchmark, record_result):
+def test_ablation_sampling(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("ablation_sampling")(scale=BENCH_SCALE).run_inline(),
+        lambda: get_experiment("ablation_sampling")(scale=BENCH_SCALE).run_inline(
+            **bench_execution),
         rounds=1,
         iterations=1,
     )

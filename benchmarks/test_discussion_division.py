@@ -9,9 +9,10 @@ def _pct(cell: str) -> float:
     return float(cell.rstrip("%"))
 
 
-def test_discussion_division(benchmark, record_result):
+def test_discussion_division(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("discussion_division")(scale=BENCH_SCALE).run_inline(),
+        lambda: get_experiment("discussion_division")(scale=BENCH_SCALE).run_inline(
+            **bench_execution),
         rounds=1,
         iterations=1,
     )

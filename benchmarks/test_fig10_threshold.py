@@ -14,10 +14,10 @@ def _pct(cell: str) -> float:
     return float(cell.rstrip("%"))
 
 
-def test_fig10_threshold(benchmark, record_result):
+def test_fig10_threshold(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
         lambda: get_experiment("fig10")(
-            scale=BENCH_SCALE, workloads=WORKLOADS).run_inline(),
+            scale=BENCH_SCALE, workloads=WORKLOADS).run_inline(**bench_execution),
         rounds=1,
         iterations=1,
     )

@@ -5,9 +5,9 @@ from conftest import BENCH_SCALE
 from repro.orchestrate import get_experiment
 
 
-def test_fig11_critical_count(benchmark, record_result):
+def test_fig11_critical_count(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("fig11")(scale=BENCH_SCALE).run_inline(),
+        lambda: get_experiment("fig11")(scale=BENCH_SCALE).run_inline(**bench_execution),
         rounds=1,
         iterations=1,
     )

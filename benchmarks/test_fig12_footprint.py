@@ -9,9 +9,9 @@ def _pct(cell: str) -> float:
     return float(cell.rstrip("%"))
 
 
-def test_fig12_footprint(benchmark, record_result):
+def test_fig12_footprint(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("fig12")(scale=BENCH_SCALE).run_inline(),
+        lambda: get_experiment("fig12")(scale=BENCH_SCALE).run_inline(**bench_execution),
         rounds=1,
         iterations=1,
     )

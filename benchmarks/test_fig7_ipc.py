@@ -17,9 +17,10 @@ def _pct(cell: str) -> float:
     return float(cell.rstrip("%"))
 
 
-def test_fig7_ipc(benchmark, record_result):
+def test_fig7_ipc(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("fig7")(scale=BENCH_SCALE, modes=MODES).run_inline(),
+        lambda: get_experiment("fig7")(scale=BENCH_SCALE, modes=MODES).run_inline(
+            **bench_execution),
         rounds=1,
         iterations=1,
     )

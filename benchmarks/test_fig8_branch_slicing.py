@@ -9,10 +9,10 @@ def _pct(cell: str) -> float:
     return float(cell.rstrip("%"))
 
 
-def test_fig8_branch_slicing(benchmark, record_result):
+def test_fig8_branch_slicing(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
         lambda: get_experiment("fig8")(
-            scale=BENCH_SCALE, workloads=SWEEP_WORKLOADS).run_inline(),
+            scale=BENCH_SCALE, workloads=SWEEP_WORKLOADS).run_inline(**bench_execution),
         rounds=1,
         iterations=1,
     )

@@ -11,10 +11,10 @@ def _pct(cell: str) -> float:
     return float(cell.rstrip("%"))
 
 
-def test_fig9_rs_rob(benchmark, record_result):
+def test_fig9_rs_rob(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
         lambda: get_experiment("fig9")(
-            scale=BENCH_SCALE, workloads=WORKLOADS).run_inline(),
+            scale=BENCH_SCALE, workloads=WORKLOADS).run_inline(**bench_execution),
         rounds=1,
         iterations=1,
     )

@@ -3,9 +3,9 @@
 from repro.orchestrate import get_experiment
 
 
-def test_table1(benchmark, record_result):
+def test_table1(benchmark, record_result, bench_execution):
     result = benchmark.pedantic(
-        lambda: get_experiment("table1")().run_inline(),
+        lambda: get_experiment("table1")().run_inline(**bench_execution),
         rounds=1,
         iterations=1,
     )

@@ -33,8 +33,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from ..sim.simulator import pipeline_class, resolve_mode
 from ..memory.shared import SharedMemory, SharedMemoryHierarchy
+from ..parallel.cellkey import CellSpec
+from ..parallel.executor import cell_annotation
+from ..resilience.watchdog import cell_watchdog
+from ..sim.simulator import pipeline_class, resolve_mode
 from ..uarch.config import CoreConfig
 from ..uarch.stats import SimStats
 from .spec import CoRunSpec
@@ -65,21 +68,6 @@ class CoRunResult:
         """Core's own IPC on its own clock (comparable to its solo run)."""
         part = self.per_core[core]
         return part.retired / part.cycles if part.cycles else 0.0
-
-
-def _core_annotation(task, *, config, scale, engine):
-    """Resolve one core's CRISP annotation (explicit, or FDO-derived)."""
-    if task.mode != "crisp":
-        return frozenset()
-    if task.critical_pcs is not None:
-        return frozenset(task.critical_pcs)
-    from ..core.fdo import run_crisp_flow
-
-    flow = run_crisp_flow(
-        task.workload, task.crisp_config, core_config=config, scale=scale,
-        engine=engine,
-    )
-    return flow.critical_pcs
 
 
 def run_corun(
@@ -120,7 +108,12 @@ def run_corun(
     pipes = []
     annotations: list[tuple[int, ...]] = []
     for idx, task in enumerate(spec.cores):
-        critical = _core_annotation(task, config=base, scale=scale, engine=engine)
+        # The core's annotation is the one a cell of its task would run with.
+        critical = cell_annotation(CellSpec(
+            workload=task.workload, mode=task.mode, scale=scale,
+            critical_pcs=task.critical_pcs, crisp_config=task.crisp_config,
+            config=base, engine=engine,
+        ))
         core_config, used, ibda = resolve_mode(task.mode, base, critical)
         if task.prefetchers is not None:
             core_config = replace(
@@ -134,7 +127,7 @@ def run_corun(
             hierarchy = SharedMemoryHierarchy(core_config.hierarchy, shared, idx)
         context = {"workload": task.workload, "mode": task.mode,
                    "core": idx, "mix": spec.label}
-        watchdog = _make_watchdog(cycle_budget, crash_dir, context)
+        watchdog = cell_watchdog(cycle_budget, crash_dir, context)
         workload = get_workload(task.workload, variant=task.variant, scale=scale)
         pipes.append(pipeline_class(engine)(
             workload.trace(),
@@ -149,19 +142,6 @@ def run_corun(
 
     per_core = _drive_lockstep(pipes, shared)
     return _assemble(spec, pipes, per_core, shared, annotations)
-
-
-def _make_watchdog(cycle_budget, crash_dir, context):
-    if cycle_budget is not None:
-        from ..resilience.watchdog import CycleBudgetWatchdog
-
-        return CycleBudgetWatchdog(cycle_budget, crash_dir=crash_dir,
-                                   context=context)
-    if crash_dir is not None:
-        from ..resilience.watchdog import Watchdog
-
-        return Watchdog(crash_dir=crash_dir, context=context)
-    return None
 
 
 def _drive_lockstep(pipes, shared) -> list[SimStats]:

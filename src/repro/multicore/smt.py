@@ -79,9 +79,9 @@ def smt_cell(
 
 def run_smt_cell(spec: CellSpec) -> dict:
     """Worker-side execution of an SMT cell (see executor.run_cell_spec)."""
+    from ..resilience.watchdog import cell_watchdog
     from ..uarch.smt import SmtPipeline
     from ..workloads import get_workload
-    from .engine import _make_watchdog
 
     smt = spec.smt
     assert isinstance(smt, SmtCellSpec)
@@ -100,7 +100,7 @@ def run_smt_cell(spec: CellSpec) -> dict:
         priority=smt.priority,
         critical_pcs=critical,
         fair_slots=smt.fair_slots,
-        watchdog=_make_watchdog(spec.cycle_budget, spec.crash_dir, context),
+        watchdog=cell_watchdog(spec.cycle_budget, spec.crash_dir, context),
         run_context=context,
     ).run()
     merged = SimStats(

@@ -2,11 +2,10 @@
 
 An :class:`Experiment` declares *what* to run — its targets (workloads ×
 seed replicas), its instances (mode/config columns), and how the resolved
-cells become a report table. *How* cells run (pool, cache, sampling,
-engine) stays in the execution layers; ``run_inline`` routes through
-:func:`repro.experiments.common.run_cells`, so an active
-``execution_context`` (pool, cache, ``--sample``, ``--engine``) applies
-unchanged.
+cells become a report table. *How* cells run (pool, cache, retry
+policy, sampling, engine) is not the experiment's business: ``run_inline``
+and ``execute_run`` take those settings as arguments and hand them to
+:func:`repro.parallel.executor.run_cells`, the one cell runner.
 
 Every paper table and figure is one registered class, reached by name
 through :func:`get_experiment` or ``python -m repro.orchestrate run
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..parallel.cellkey import CellSpec, cell_key
-from ..parallel.executor import CellResult
+from ..parallel.executor import CellResult, run_cells
 from .instance import Instance
 from .target import Target, seed_variants
 
@@ -183,17 +182,17 @@ class Experiment:
 
     # -- execution -------------------------------------------------------------
 
-    def run_inline(self):
-        """Plan, run under the active execution context, and build the table.
+    def run_inline(self, **execution):
+        """Plan, run the cells, and build the table.
 
-        The library entry point (``get_experiment(name)(...).run_inline()``):
-        in-process by default, pool/cache/sampled when an
-        ``execution_context`` is active. No run directory is written.
+        The library entry point (``get_experiment(name)(...).run_inline()``).
+        ``execution`` is :func:`~repro.parallel.executor.run_cells`'s
+        keyword arguments (``jobs``, ``cache``, ``policy``, ``sample``,
+        ``engine``, ...); without them every cell runs in this process,
+        uncached and unsampled. No run directory is written.
         """
-        from ..experiments.common import run_cells
-
         plan = self.plan()
-        results = run_cells([cell.spec for cell in plan])
+        results = run_cells([cell.spec for cell in plan], **execution)
         for result in results:
             result.require_stats()
         return self.table(plan, results)

@@ -2,8 +2,10 @@
 
 :func:`execute_run` is the engine behind ``python -m repro.orchestrate
 run``: plan the experiment, open (or resume) a run directory, execute the
-cells without a ``done`` result through the shared pool/cache/sampling
-stack, persist every resolved cell incrementally, and render the reports.
+cells without a ``done`` result through
+:func:`~repro.parallel.executor.run_cells` with this call's pool, cache,
+retry policy, sample plan and engine, persist every resolved cell
+incrementally, and render the reports.
 :func:`report_run` re-renders reports from a finished (or partial) run
 directory without simulating anything — after re-verifying the run's
 recorded identity against the present code. A run directory is the one
@@ -18,8 +20,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from ..parallel.cellkey import CACHE_SCHEMA_VERSION, cell_key
-from ..parallel.executor import STATUS_DONE, STATUS_FAILED, CellResult
+from ..parallel.cellkey import CACHE_SCHEMA_VERSION
+from ..parallel.executor import STATUS_DONE, STATUS_FAILED, CellResult, run_cells
 from ..resilience.policy import RetryPolicy
 from ..sim.simulator import resolve_engine
 from ..uarch.stats import SimStats
@@ -186,8 +188,6 @@ def execute_run(
     are execution-only :class:`~repro.parallel.cellkey.CellSpec` fields,
     so no cell key moves.
     """
-    from ..experiments.common import execution_context, run_cells
-
     engine = resolve_engine(engine)
     plan = experiment.plan()
     fresh_manifest = build_manifest(experiment, plan, engine=engine, sample=sample)
@@ -226,12 +226,6 @@ def execute_run(
         else:
             pending.append(plan[indices[0]])
 
-    def persist(result: CellResult) -> None:
-        key = cell_key(result.spec)
-        store_cell(path, key, _cell_payload(result))
-        if on_cell is not None:
-            on_cell(key, result)
-
     # The manifest records this run's cache traffic, not the cache
     # object's lifetime totals.
     start = replace(cache.stats) if cache is not None else None
@@ -242,9 +236,19 @@ def execute_run(
         specs = [c.spec for c in pending]
         if knobs:
             specs = [replace(spec, **knobs) for spec in specs]
-        with execution_context(jobs=jobs, cache=cache, policy=policy,
-                               sample=sample, engine=engine):
-            fresh = run_cells(specs, on_result=persist)
+        # run_cells hands each result back under the spec object passed
+        # here: store it under its cell's planned key, not ``result.key``,
+        # which for a sampled cell is the sampled parent's cache key.
+        planned = {id(spec): cell.key for spec, cell in zip(specs, pending)}
+
+        def persist(result: CellResult) -> None:
+            key = planned[id(result.spec)]
+            store_cell(path, key, _cell_payload(result))
+            if on_cell is not None:
+                on_cell(key, result)
+
+        fresh = run_cells(specs, jobs=jobs, cache=cache, policy=policy,
+                          sample=sample, engine=engine, on_result=persist)
         for cell, result in zip(pending, fresh):
             for index in by_key[cell.key]:
                 results[index] = result

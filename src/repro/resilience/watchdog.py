@@ -142,3 +142,16 @@ class CycleBudgetWatchdog(Watchdog):
             f"cell exceeded cycle budget {max_cycles} "
             f"(retired {retired}/{total} at cycle {now})"
         )
+
+
+def cell_watchdog(cycle_budget: int | None, crash_dir: str | None,
+                  context: dict) -> Watchdog | None:
+    """The watchdog a cell runs under: a :class:`CycleBudgetWatchdog` when
+    it has a cycle budget, else a crash-bundle :class:`Watchdog` when it
+    has a crash directory, else none (the engine's own default)."""
+    if cycle_budget is not None:
+        return CycleBudgetWatchdog(cycle_budget, crash_dir=crash_dir,
+                                   context=context)
+    if crash_dir is not None:
+        return Watchdog(crash_dir=crash_dir, context=context)
+    return None

@@ -98,8 +98,6 @@ HEADER = ("knob", "requested", "measured", "tolerance", "status")
 
 
 def cmd_grid(args) -> int:
-    from ..experiments.common import execution_context
-
     experiment = PropertyGrid(
         scale=args.scale,
         seeds=args.seeds,
@@ -114,9 +112,8 @@ def cmd_grid(args) -> int:
         from ..parallel.cache import ResultCache
 
         cache = ResultCache(args.cache_dir)
-    with execution_context(jobs=args.jobs, cache=cache, sample=args.sample,
-                           engine=args.engine):
-        result = experiment.run_inline()
+    result = experiment.run_inline(jobs=args.jobs, cache=cache,
+                                   sample=args.sample, engine=args.engine)
     print(result.to_markdown() if args.markdown else result.to_text())
     return 0
 

@@ -9,6 +9,7 @@ import pytest
 from repro.core import fdo
 from repro.parallel import CellSpec, PoolStats, ResultCache, run_cells
 from repro.parallel.executor import _pool_run_cell, run_cell_spec
+from repro.resilience.policy import RetryPolicy
 from repro.workloads import base
 
 FAST = dict(scale=0.05)
@@ -89,7 +90,8 @@ def test_pool_stats_accounting(tmp_path):
 
 def test_cycle_budget_times_out_and_retries():
     stats = PoolStats()
-    results = run_cells([spec(cycle_budget=50)], jobs=1, retries=2, stats=stats)
+    results = run_cells([spec(cycle_budget=50)], jobs=1,
+                        policy=RetryPolicy.immediate(2), stats=stats)
     cell = results[0]
     assert cell.status == "failed"
     assert cell.error_type == "CellTimeout"
@@ -100,7 +102,7 @@ def test_cycle_budget_times_out_and_retries():
 
 
 def test_cycle_budget_times_out_in_pool_worker():
-    cell = run_cells([spec(cycle_budget=50)], jobs=2, retries=0)[0]
+    cell = run_cells([spec(cycle_budget=50)], jobs=2, policy=RetryPolicy.immediate(0))[0]
     assert cell.status == "failed"
     assert cell.error_type == "CellTimeout"
     assert cell.attempts == 1
@@ -126,7 +128,8 @@ def test_configuration_error_propagates_pooled():
 
 def test_failed_cells_do_not_poison_the_cache(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
-    run_cells([spec(cycle_budget=50)], jobs=1, retries=0, cache=cache)
+    run_cells([spec(cycle_budget=50)], jobs=1, policy=RetryPolicy.immediate(0),
+              cache=cache)
     assert cache.stats.stores == 0
     assert len(cache) == 0
 
@@ -190,7 +193,7 @@ def test_worker_crash_rebuilds_pool_and_recovers(tmp_path, monkeypatch):
     monkeypatch.setattr(
         executor_module, "_pool_run_cell", _suicidal_pool_run_cell)
     stats = PoolStats()
-    survived = run_cells(specs, jobs=2, retries=2, stats=stats)
+    survived = run_cells(specs, jobs=2, policy=RetryPolicy.immediate(2), stats=stats)
 
     assert all(r.ok for r in survived)
     assert stats.worker_crashes >= 1
@@ -208,7 +211,8 @@ def test_worker_crashes_exhaust_retry_budget_cleanly(monkeypatch):
     monkeypatch.setattr(
         executor_module, "_pool_run_cell", _always_dying_pool_run_cell)
     stats = PoolStats()
-    cell = run_cells([spec("mcf")], jobs=2, retries=1, stats=stats)[0]
+    cell = run_cells([spec("mcf")], jobs=2, policy=RetryPolicy.immediate(1),
+                     stats=stats)[0]
     assert cell.status == "failed"
     assert cell.error_type == "WorkerCrash"
     assert cell.attempts == 2  # 1 + retries, exactly
@@ -230,7 +234,7 @@ def test_grouped_crash_retries_each_lost_cell_on_its_own(tmp_path, monkeypatch):
         executor_module, "_pool_run_cell", _suicidal_pool_run_cell)
     submitted = _record_submissions(monkeypatch)
     stats = PoolStats()
-    survived = run_cells(specs, jobs=2, retries=1, stats=stats)
+    survived = run_cells(specs, jobs=2, policy=RetryPolicy.immediate(1), stats=stats)
 
     assert stats.pool_rebuilds == 1
     assert stats.worker_crashes >= 2  # at least the dead worker's group

@@ -13,6 +13,7 @@ import pytest
 from repro.core import fdo, slicer
 from repro.parallel import CellSpec, PoolStats, ResultCache
 from repro.parallel.executor import run_cell_spec
+from repro.resilience.policy import RetryPolicy
 from repro.sampling import parse_sample, run_cells_sampled, sampler, simulate_sampled
 from repro.sampling.cells import expand_spec
 from repro.workloads import base, get_workload
@@ -166,7 +167,8 @@ def test_crisp_parent_runs_the_fdo_flow_once(monkeypatch):
 def test_failed_interval_fails_the_parent():
     stats = PoolStats()
     bad = spec("mcf", cycle_budget=1)  # every interval blows the budget
-    results = run_cells_sampled([bad], PLAN, jobs=1, stats=stats, retries=0)
+    results = run_cells_sampled([bad], PLAN, jobs=1, stats=stats,
+                                policy=RetryPolicy.immediate(0))
     assert not results[0].ok
     assert results[0].error_type
     assert results[0].estimate is None

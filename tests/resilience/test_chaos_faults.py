@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.parallel import CellSpec, PoolStats, ResultCache, run_cells
-from repro.resilience import CHAOS_CLASSES, ChaosInjector
+from repro.resilience import CHAOS_CLASSES, ChaosInjector, RetryPolicy
 
 FAST = dict(scale=0.05)
 
@@ -102,7 +102,8 @@ def test_killed_worker_chaos_is_invisible_in_results(tmp_path):
                 injector.kill_worker(pools[-1])
 
         survived = run_cells(
-            specs, jobs=2, retries=2, stats=stats, on_result=on_result)
+            specs, jobs=2, policy=RetryPolicy.immediate(2), stats=stats,
+            on_result=on_result)
     finally:
         executor_module.ProcessPoolExecutor = real_executor
 
