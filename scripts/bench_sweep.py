@@ -148,7 +148,8 @@ def bench_engines(workloads, modes, scale: float, repeats: int) -> dict:
     once, which the array engine memoizes on it, and proves the digests
     match); the recorded wall-clock is the best of ``repeats`` timed runs.
     """
-    from repro.core.fdo import run_crisp_flow
+    from repro.parallel import CellSpec
+    from repro.parallel.executor import cell_annotation
     from repro.sim import simulate
     from repro.workloads import get_workload
 
@@ -157,24 +158,21 @@ def bench_engines(workloads, modes, scale: float, repeats: int) -> dict:
         workload = get_workload(name, scale=scale)
         workload.trace()
         for mode in modes:
-            kwargs = {}
-            if mode == "crisp":
-                kwargs["critical_pcs"] = run_crisp_flow(
-                    name, scale=scale
-                ).critical_pcs
-            elif mode != "ooo":
+            if mode not in ("ooo", "crisp"):
                 continue  # engine rows cover the two headline modes
+            critical = cell_annotation(CellSpec(name, mode, scale=scale))
             wall = {}
             digest = {}
             cycles = 0
             for engine in ("obj", "array"):
-                stats = simulate(workload, mode, engine=engine, **kwargs).stats
+                stats = simulate(workload, mode, engine=engine,
+                                 critical_pcs=critical).stats
                 digest[engine] = stats.digest()
                 cycles = stats.cycles
                 best = None
                 for _ in range(repeats):
                     start = time.perf_counter()
-                    simulate(workload, mode, engine=engine, **kwargs)
+                    simulate(workload, mode, engine=engine, critical_pcs=critical)
                     elapsed = time.perf_counter() - start
                     if best is None or elapsed < best:
                         best = elapsed

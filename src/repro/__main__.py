@@ -3,7 +3,8 @@
 Commands:
 
 * ``workloads``  -- list the evaluated suite with per-app characters
-* ``simulate``   -- run one workload in one mode and print the stats
+* ``simulate``   -- run one workload in one mode and print the stats of
+  that cell (a crisp run takes the cell's FDO annotation)
 * ``compare``    -- full train->annotate->evaluate comparison for one app
 * ``diagnose``   -- ready->issue delay report under both schedulers
 * ``autotune``   -- per-application threshold tuning (Section 5.5)
@@ -29,15 +30,19 @@ def cmd_workloads(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .parallel.cellkey import CellSpec
+    from .parallel.executor import cell_annotation, cell_input
+    from .resilience import SimulationError, Watchdog
     from .sim import simulate
     from .telemetry import EventTracer
-    from .workloads import get_workload
 
-    from .resilience import SimulationError, Watchdog
-
-    workload = get_workload(args.workload, variant=args.variant, scale=args.scale)
+    # The run is the cell of this spec: a crisp run takes the cell's
+    # annotation, and --sample runs the sampled cell itself.
+    spec = CellSpec(args.workload, args.mode, scale=args.scale,
+                    variant=args.variant, invariants=args.invariants,
+                    crash_dir=args.crash_dir, engine=args.engine)
     if args.sample != "off":
-        return _simulate_sampled(args, workload)
+        return _simulate_sampled(args, spec)
     tracer = None
     if args.trace is not None:
         tracer = EventTracer(
@@ -50,9 +55,11 @@ def cmd_simulate(args) -> int:
             kwargs["livelock_cycles"] = args.watchdog_cycles
         watchdog = Watchdog(**kwargs)
     try:
+        critical = cell_annotation(spec)
         result = simulate(
-            workload,
+            cell_input(spec),
             args.mode,
+            critical_pcs=critical,
             tracer=tracer,
             invariants=args.invariants,
             watchdog=watchdog,
@@ -80,10 +87,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _simulate_sampled(args, workload) -> int:
-    """``simulate --sample=...``: sampled estimate instead of a full run."""
-    from .resilience import SimulationError
-    from .sampling import SamplingStats, parse_sample, simulate_sampled
+def _simulate_sampled(args, spec) -> int:
+    """``simulate --sample=...``: the sampled cell's estimate instead of a
+    full run."""
+    from .parallel.executor import run_cells
+    from .sampling import parse_sample
 
     if args.trace is not None or args.report is not None:
         print(
@@ -92,25 +100,16 @@ def _simulate_sampled(args, workload) -> int:
         )
         return 2
     try:
-        plan = parse_sample(args.sample)
+        parse_sample(args.sample)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    stats = SamplingStats()
-    try:
-        estimate = simulate_sampled(
-            workload,
-            args.mode,
-            plan=plan,
-            invariants=args.invariants,
-            stats=stats,
-            engine=args.engine,
-        )
-    except SimulationError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
+    (cell,) = run_cells([spec], sample=args.sample)
+    if not cell.ok:
+        print(f"simulation failed: {cell.error}", file=sys.stderr)
         return 1
-    print(estimate.summary())
-    print(estimate.extrapolated.summary())
+    print(cell.estimate.summary())
+    print(cell.stats.summary())
     return 0
 
 

@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..sim.simulator import simulate
-from ..uarch.config import CoreConfig
-from ..workloads.base import REGISTRY
 from .delinquency import DelinquencyConfig
-from .fdo import CrispConfig, CrispResult, run_crisp_flow
+from .fdo import CrispConfig
 
 #: The Figure 10 sweep plus the finer points the paper mentions (moses
 #: prefers 2%).
@@ -33,28 +30,23 @@ class AutotuneResult:
     """Outcome of one per-application tuning loop."""
 
     workload_name: str
-    #: threshold -> (train-input IPC with that annotation, flow result)
-    candidates: dict[float, tuple[float, CrispResult]] = field(default_factory=dict)
+    #: threshold -> (train-input IPC with that annotation, its critical PCs)
+    candidates: dict[float, tuple[float, frozenset[int]]] = field(default_factory=dict)
     baseline_ipc: float = 0.0
     best_threshold: float | None = None
 
     @property
-    def best_flow(self) -> CrispResult | None:
-        if self.best_threshold is None:
-            return None
-        return self.candidates[self.best_threshold][1]
-
-    @property
     def best_critical_pcs(self) -> frozenset[int]:
-        flow = self.best_flow
-        return flow.critical_pcs if flow else frozenset()
+        if self.best_threshold is None:
+            return frozenset()
+        return self.candidates[self.best_threshold][1]
 
     def summary(self) -> str:
         lines = [f"autotune {self.workload_name}: baseline IPC {self.baseline_ipc:.3f}"]
-        for threshold, (ipc, flow) in sorted(self.candidates.items()):
+        for threshold, (ipc, critical) in sorted(self.candidates.items()):
             marker = "  <-- best" if threshold == self.best_threshold else ""
             lines.append(
-                f"  T={threshold:5.1%}: {len(flow.critical_pcs):4d} tagged,"
+                f"  T={threshold:5.1%}: {len(critical):4d} tagged,"
                 f" train IPC {ipc:.3f}{marker}"
             )
         return "\n".join(lines)
@@ -65,45 +57,36 @@ def autotune_threshold(
     *,
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
     scale: float = 1.0,
-    core_config: CoreConfig | None = None,
-    base_config: CrispConfig | None = None,
 ) -> AutotuneResult:
     """Profile-and-select loop over miss-contribution thresholds.
 
-    All selection decisions use the *train* input only; the returned
-    annotation can then be evaluated (or deployed) on anything.
+    The baseline and each threshold are ``variant="train"`` cells of
+    :func:`~repro.parallel.executor.run_cells` (the threshold through
+    :meth:`DelinquencyConfig.with_threshold`, as Figure 10 sets it), so
+    the train input is built and emulated once and each candidate's IPC
+    and PCs are those cells'. All selection decisions use the *train*
+    input only; the returned annotation can then be evaluated (or
+    deployed) on anything.
     """
-    base_config = base_config or CrispConfig()
-    core_config = core_config or CoreConfig.skylake()
-    train = REGISTRY.build(workload_name, variant="train", scale=scale)
-    result = AutotuneResult(workload_name=workload_name)
-    result.baseline_ipc = simulate(train, "ooo", config=core_config).ipc
+    from ..parallel.cellkey import CellSpec
+    from ..parallel.executor import run_cells
 
+    specs = [CellSpec(workload_name, "ooo", scale=scale, variant="train")]
+    specs += [
+        CellSpec(workload_name, "crisp", scale=scale, variant="train",
+                 crisp_config=CrispConfig(
+                     delinquency=DelinquencyConfig().with_threshold(t)))
+        for t in thresholds
+    ]
+    cells = run_cells(specs)
+    for cell in cells:
+        cell.require_stats()
+    result = AutotuneResult(workload_name=workload_name,
+                            baseline_ipc=cells[0].ipc)
     best_ipc = result.baseline_ipc
-    for threshold in thresholds:
-        config = CrispConfig(
-            delinquency=DelinquencyConfig(
-                **{
-                    **base_config.delinquency.__dict__,
-                    "miss_contribution_min": threshold,
-                }
-            ),
-            critical_path=base_config.critical_path,
-            use_load_slices=base_config.use_load_slices,
-            use_branch_slices=base_config.use_branch_slices,
-            max_instances=base_config.max_instances,
-            max_critical_ratio=base_config.max_critical_ratio,
-            min_critical_ratio=base_config.min_critical_ratio,
-        )
-        flow = run_crisp_flow(
-            workload_name, config, core_config=core_config, scale=scale,
-            train_workload=train,
-        )
-        ipc = simulate(
-            train, "crisp", config=core_config, critical_pcs=flow.critical_pcs
-        ).ipc
-        result.candidates[threshold] = (ipc, flow)
-        if ipc > best_ipc:
-            best_ipc = ipc
+    for threshold, cell in zip(thresholds, cells[1:]):
+        result.candidates[threshold] = (cell.ipc, frozenset(cell.critical_pcs))
+        if cell.ipc > best_ipc:
+            best_ipc = cell.ipc
             result.best_threshold = threshold
     return result

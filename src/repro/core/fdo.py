@@ -121,7 +121,10 @@ def run_crisp_flow(
 ) -> CrispResult:
     """Run the full Figure 5 software flow on a workload's *train* input.
 
-    ``engine`` picks the cycle model that runs the step-1 profile (see
+    The flow builds the train input unless ``train_workload`` hands in one
+    already built (a train-input cell's own, see
+    :func:`repro.parallel.executor.cell_annotation`). ``engine`` picks the
+    cycle model that runs the step-1 profile (see
     :func:`~repro.sim.simulator.resolve_engine`); both engines give the
     same profile, so the annotation does not depend on it.
     """

@@ -14,8 +14,10 @@ explicitly, so every column is an ordinary cacheable cell.
 
 from __future__ import annotations
 
-from ..core.fdo import CrispConfig, run_crisp_flow
+from ..core.fdo import CrispConfig
 from ..orchestrate import Experiment, Instance, register
+from ..parallel.cellkey import CellSpec
+from ..parallel.executor import cell_annotation
 from ..uarch.config import CoreConfig
 from .common import ExperimentResult, format_pct
 
@@ -44,11 +46,10 @@ class PerfectBPAblation(Experiment):
         could classify differently and confound the comparison).
         """
         if workload not in self._annotations:
-            flow_load = run_crisp_flow(workload, LOAD_ONLY, scale=self.scale)
-            flow_both = run_crisp_flow(workload, COMBINED, scale=self.scale)
-            self._annotations[workload] = (
-                tuple(sorted(flow_load.critical_pcs)),
-                tuple(sorted(flow_both.critical_pcs)),
+            self._annotations[workload] = tuple(
+                tuple(sorted(cell_annotation(CellSpec(
+                    workload, "crisp", scale=self.scale, crisp_config=recipe))))
+                for recipe in (LOAD_ONLY, COMBINED)
             )
         return self._annotations[workload]
 

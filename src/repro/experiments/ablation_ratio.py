@@ -18,8 +18,9 @@ cache and pool like any other cell.
 
 from __future__ import annotations
 
-from ..core.fdo import run_crisp_flow
 from ..orchestrate import Experiment, Instance, register
+from ..parallel.cellkey import CellSpec
+from ..parallel.executor import cell_annotation
 from ..workloads import get_workload
 from .common import ExperimentResult, format_pct
 
@@ -78,13 +79,12 @@ class RatioAblation(Experiment):
         """
         key = (target.workload, target.variant)
         if key not in self._annotations:
-            flow = run_crisp_flow(target.workload, scale=self.scale)
+            critical = cell_annotation(
+                CellSpec(target.workload, "crisp", scale=self.scale))
             workload = get_workload(target.workload, target.variant, self.scale)
             exec_counts = dict(workload.trace().exec_counts)
             self._annotations[key] = [
-                flow.critical_pcs
-                if ratio is None
-                else _dilute(flow.critical_pcs, exec_counts, ratio)
+                critical if ratio is None else _dilute(critical, exec_counts, ratio)
                 for ratio in self.ratio_targets
             ]
         return self._annotations[key]

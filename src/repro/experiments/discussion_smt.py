@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.fdo import run_crisp_flow
 from ..multicore.smt import SMT_MODE, SmtCellSpec, smt_cell
 from ..orchestrate import Experiment, Instance, register
+from ..parallel.cellkey import CellSpec
+from ..parallel.executor import cell_annotation
 from ..workloads import get_workload
 from .common import ExperimentResult
 
@@ -75,8 +76,8 @@ class DiscussionSmt(Experiment):
     def _slo_annotation(self) -> tuple[int, ...]:
         """The victim's CRISP PCs, derived once at plan time (FDO train)."""
         if self._victim_pcs is None:
-            flow = run_crisp_flow(VICTIM, scale=self.scale)
-            self._victim_pcs = tuple(sorted(flow.critical_pcs))
+            self._victim_pcs = tuple(sorted(cell_annotation(
+                CellSpec(VICTIM, "crisp", scale=self.scale))))
         return self._victim_pcs
 
     def _attack_annotation(self) -> tuple[int, ...]:

@@ -12,8 +12,9 @@ plans no cells.
 
 from __future__ import annotations
 
-from ..core.fdo import run_crisp_flow
 from ..orchestrate import Experiment, register
+from ..parallel.cellkey import CellSpec
+from ..parallel.executor import cell_annotation
 from ..sim.simulator import simulate
 from ..workloads.microbench import build_pointer_chase
 from .common import ExperimentResult, format_pct
@@ -34,10 +35,6 @@ class Fig1Experiment(Experiment):
     fixed_workloads = True
 
     def table(self, plan, results) -> ExperimentResult:
-        flow = run_crisp_flow(
-            "pointer_chase",
-            train_workload=build_pointer_chase("train", self.scale),
-        )
         ref = build_pointer_chase("ref", self.scale)
         result = ExperimentResult(
             experiment=self.name,
@@ -47,12 +44,9 @@ class Fig1Experiment(Experiment):
         )
         timelines = {}
         for mode in ("ooo", "crisp"):
-            sim = simulate(
-                ref,
-                mode,
-                critical_pcs=flow.critical_pcs if mode == "crisp" else frozenset(),
-                upc_window=WINDOW,
-            )
+            # Each series runs with the annotation its cell would.
+            critical = cell_annotation(CellSpec("pointer_chase", mode, scale=self.scale))
+            sim = simulate(ref, mode, critical_pcs=critical, upc_window=WINDOW)
             timelines[mode] = [count / WINDOW for count in sim.stats.upc_timeline]
         base_upc = sum(timelines["ooo"]) / len(timelines["ooo"])
         for mode in ("ooo", "crisp"):

@@ -72,10 +72,6 @@ class StaticInst:
         return self._info.writes_mem
 
     @property
-    def is_mem(self) -> bool:
-        return self._info.reads_mem or self._info.writes_mem
-
-    @property
     def is_branch(self) -> bool:
         return self._info.is_branch
 

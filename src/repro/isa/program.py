@@ -39,9 +39,6 @@ class CodeLayout:
     sizes: tuple[int, ...]
     total_bytes: int
 
-    def address_of(self, idx: int) -> int:
-        return self.addresses[idx]
-
     def lines_touched(self, idx: int, line_bytes: int = 64) -> tuple[int, ...]:
         """Cache line addresses covered by instruction ``idx``'s encoding."""
         start = self.addresses[idx]

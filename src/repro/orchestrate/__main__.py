@@ -4,7 +4,8 @@ The one way to run an experiment (docs/ORCHESTRATION.md): ``list``
 prints the experiment registry, ``run`` lowers one experiment's Target ×
 Instance selection to cells, executes them through the shared
 pool/cache/sampling stack, and writes a per-run result directory,
-``report`` re-renders a run directory's tables without simulating.
+``report`` re-renders a run directory's tables without simulating, and
+like ``run`` exits 1 when cells are failed or missing.
 
 Execution flags (docs/PARALLEL.md): ``--jobs``,
 ``--cache-dir``/``--no-cache``, ``--sample``, ``--engine``; ``run``
@@ -124,7 +125,7 @@ def cmd_report(args) -> int:
         print(json.dumps(report, indent=1))
     else:
         print((Path(run_dir) / "report.md").read_text())
-    return 0
+    return 1 if report["failed"] else 0
 
 
 def add_selection_args(parser) -> None:

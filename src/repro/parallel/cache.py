@@ -23,12 +23,11 @@ from .cellkey import CACHE_SCHEMA_VERSION
 
 @dataclass
 class CacheStats:
-    """Hit/miss/store/evict counters for one :class:`ResultCache`."""
+    """Hit/miss/store/corrupt counters for one :class:`ResultCache`."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
     corrupt: int = 0
 
     @property
@@ -48,8 +47,6 @@ class CacheStats:
              "cell lookups that required a fresh simulation"),
             ("parallel.cache.stores", "stores",
              "simulation results written into the cache"),
-            ("parallel.cache.evictions", "evictions",
-             "cache entries evicted (oldest-first) to respect max_entries"),
             ("parallel.cache.corrupt", "corrupt",
              "on-disk entries that existed but failed validation "
              "(truncated, unparsable, or mismatched) and degraded to a miss"),
@@ -71,20 +68,13 @@ class ResultCache:
     Parameters
     ----------
     root:
-        Cache directory (created lazily on the first store).
-    max_entries:
-        Optional capacity; exceeding it evicts the oldest entries by
-        modification time. ``None`` means unbounded.
+        Cache directory (created lazily on the first store); unbounded.
     stats:
         Counter sink; a fresh :class:`CacheStats` when omitted.
     """
 
-    def __init__(self, root: str, *, max_entries: int | None = None,
-                 stats: CacheStats | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
+    def __init__(self, root: str, *, stats: CacheStats | None = None):
         self.root = str(root)
-        self.max_entries = max_entries
         self.stats = stats if stats is not None else CacheStats()
 
     def path_for(self, key: str) -> str:
@@ -145,8 +135,6 @@ class ResultCache:
                 os.unlink(tmp)
             raise
         self.stats.stores += 1
-        if self.max_entries is not None:
-            self._evict_over_capacity()
         return path
 
     # -- maintenance ----------------------------------------------------------
@@ -163,23 +151,6 @@ class ResultCache:
                 if name.endswith(".json"):
                     entries.append(os.path.join(shard_dir, name))
         return entries
-
-    def _evict_over_capacity(self) -> None:
-        entries = self._entries()
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
-        def age(path):
-            try:
-                return os.path.getmtime(path)
-            except OSError:
-                return 0.0
-        for path in sorted(entries, key=lambda p: (age(p), p))[:excess]:
-            try:
-                os.unlink(path)
-                self.stats.evictions += 1
-            except OSError:
-                pass  # concurrent eviction by another process
 
     def __len__(self) -> int:
         return len(self._entries())

@@ -211,7 +211,14 @@ def cell_input(spec: CellSpec):
 def cell_annotation(spec: CellSpec) -> frozenset[int]:
     """The critical PCs a cell simulates with: none outside ``crisp``
     mode, else the explicit annotation or the FDO flow's on the train
-    input."""
+    input.
+
+    The one source of a crisp run's annotation: cells, co-run cores, the
+    ``simulate`` CLI and every experiment that pins PCs take it from here,
+    so each gives the cell path's answer. A ``variant="train"`` cell
+    profiles its own input (:func:`cell_input`), which its group then
+    simulates without building it again.
+    """
     if spec.mode != "crisp":
         return frozenset()
     if spec.critical_pcs is not None:
@@ -224,6 +231,7 @@ def cell_annotation(spec: CellSpec) -> frozenset[int]:
         spec.crisp_config,
         core_config=spec.core_config(),
         scale=spec.scale,
+        train_workload=cell_input(spec) if spec.variant == "train" else None,
         engine=spec.engine,
     ).critical_pcs
 

@@ -11,8 +11,6 @@ content-addressed interval cells of :mod:`repro.sampling.cells`.
 
 from __future__ import annotations
 
-import math
-
 
 def block_leaders(program) -> tuple[int, ...]:
     """Static basic-block leader PCs: entry, branch targets, fall-throughs."""
@@ -93,9 +91,3 @@ def kmeans(
                 sum(m[d] for m in members) / len(members) for d in range(dim)
             ]
     return assignments, centroids
-
-
-def euclidean(a: dict, b: dict) -> float:
-    """Distance between two sparse vectors (used by tests/diagnostics)."""
-    keys = set(a) | set(b)
-    return math.sqrt(sum((a.get(key, 0.0) - b.get(key, 0.0)) ** 2 for key in keys))

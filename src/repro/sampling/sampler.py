@@ -63,7 +63,7 @@ def simulate_interval(
     *,
     interval: tuple[int, int],
     config: CoreConfig | None = None,
-    critical_pcs: frozenset[int] = frozenset(),
+    critical_pcs: frozenset[int] | None = None,
     warmed: FunctionalWarmer | None = None,
     invariants: str | None = None,
     watchdog=None,
@@ -133,7 +133,7 @@ def simulate_sampled(
     *,
     plan: SamplingPlan,
     config: CoreConfig | None = None,
-    critical_pcs: frozenset[int] = frozenset(),
+    critical_pcs: frozenset[int] | None = None,
     invariants: str | None = None,
     watchdog=None,
     stats: SamplingStats | None = None,
@@ -147,7 +147,8 @@ def simulate_sampled(
     to the last interval start however many intervals there are. That
     state equals what warming ``[0, start)`` afresh gives
     (``tests/sampling/test_warmup.py``), so the estimate does too.
-    ``watchdog`` guards each interval's pipeline.
+    ``watchdog`` guards each interval's pipeline. ``critical_pcs`` is as
+    in :func:`~repro.sim.simulator.simulate`: required in ``"crisp"`` mode.
     """
     if plan.off:
         raise ValueError("plan is 'off'; call repro.sim.simulate instead")

@@ -636,6 +636,5 @@ class SimServer:
                 "misses": cache_stats.misses,
                 "stores": cache_stats.stores,
                 "corrupt": cache_stats.corrupt,
-                "evictions": cache_stats.evictions,
             }
         return snapshot

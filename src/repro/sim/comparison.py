@@ -35,26 +35,6 @@ class WorkloadComparison:
     def improvement_pct(self, mode: str, over: str = "ooo") -> float:
         return (self.speedup(mode, over) - 1.0) * 100.0
 
-    def report(self, mode: str):
-        """Per-run :class:`~repro.telemetry.report.RunReport` for ``mode``."""
-        return self.runs[mode].report()
-
-    def summary_markdown(self) -> str:
-        """Cross-mode comparison table (one row per evaluated mode)."""
-        lines = [
-            f"# Comparison — {self.name}",
-            "",
-            "| mode | IPC | vs ooo | rob-head stall cycles |",
-            "|---|---|---|---|",
-        ]
-        for mode, run in self.runs.items():
-            lines.append(
-                f"| {mode} | {run.ipc:.3f} | {self.improvement_pct(mode):+.1f}% "
-                f"| {run.stats.rob_head_stall_cycles} |"
-            )
-        lines.append("")
-        return "\n".join(lines)
-
 
 def compare_workload(
     name: str,
@@ -63,7 +43,6 @@ def compare_workload(
     config: CoreConfig | None = None,
     crisp_config: CrispConfig | None = None,
     modes: tuple[str, ...] = ("ooo", "crisp"),
-    upc_window: int = 0,
 ) -> WorkloadComparison:
     """Run the train-input FDO flow, then evaluate ``modes`` on ref input."""
     config = config or CoreConfig.skylake()
@@ -82,7 +61,6 @@ def compare_workload(
             # Annotations only apply in crisp mode; simulate() rejects them
             # elsewhere to catch mislabeled sweeps.
             critical_pcs=crisp_result.critical_pcs if mode == "crisp" else frozenset(),
-            upc_window=upc_window,
         )
     return comparison
 

@@ -60,7 +60,7 @@ def pipeline_class(engine: str | None = None) -> type[Pipeline]:
 def resolve_mode(
     mode: str,
     config: CoreConfig | None = None,
-    critical_pcs: frozenset[int] = frozenset(),
+    critical_pcs: frozenset[int] | None = None,
 ):
     """Validate ``mode`` and return ``(config, critical_pcs, ibda)``.
 
@@ -69,10 +69,24 @@ def resolve_mode(
     mode's scheduler policy, ``critical_pcs`` is non-empty only in
     ``"crisp"`` mode, and ``ibda`` is an engine instance for the hardware
     IBDA modes (``None`` otherwise).
+
+    ``"crisp"`` mode needs an annotation, possibly empty: with
+    ``critical_pcs=None`` it raises :class:`ValueError` rather than run
+    the crisp scheduler with nothing tagged, which answers like ``"ooo"``.
+    A cell's annotation comes from
+    :func:`repro.parallel.executor.cell_annotation`.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    if critical_pcs and mode != "crisp":
+    if critical_pcs is None:
+        if mode == "crisp":
+            raise ValueError(
+                "mode 'crisp' needs critical_pcs: pass the FDO flow's "
+                "annotation (repro.parallel.executor.cell_annotation gives "
+                "a cell's), or frozenset() to tag nothing"
+            )
+        critical_pcs = frozenset()
+    elif critical_pcs and mode != "crisp":
         raise ValueError(
             f"critical_pcs passed in mode {mode!r}: annotations are only "
             "consumed in 'crisp' mode; this usually means a mislabeled sweep"
@@ -112,7 +126,7 @@ def simulate(
     mode: str = "ooo",
     *,
     config: CoreConfig | None = None,
-    critical_pcs: frozenset[int] = frozenset(),
+    critical_pcs: frozenset[int] | None = None,
     upc_window: int = 0,
     tracer: EventTracer | None = None,
     invariants: str | None = None,
@@ -123,12 +137,15 @@ def simulate(
     """Run ``workload`` in ``mode`` and return the result.
 
     ``critical_pcs`` is required (and only used) in ``"crisp"`` mode: the
-    annotation produced by the FDO flow on the train input. The binary is
-    laid out with the one-byte prefix on those instructions, so i-cache
-    effects of the annotation are part of the measurement (Section 5.7).
-    Passing annotations in any other mode raises :class:`ValueError` —
-    they would be silently ignored, which almost always means a mislabeled
-    sweep.
+    annotation produced by the FDO flow on the train input, which
+    :func:`repro.parallel.executor.cell_annotation` gives for a cell's
+    :class:`~repro.parallel.cellkey.CellSpec`. Omitting it in crisp mode
+    raises :class:`ValueError` (pass ``frozenset()`` to tag nothing). The
+    binary is laid out with the one-byte prefix on those instructions, so
+    i-cache effects of the annotation are part of the measurement
+    (Section 5.7). Passing annotations in any other mode raises
+    :class:`ValueError` — they would be silently ignored, which almost
+    always means a mislabeled sweep.
 
     Pass an :class:`~repro.telemetry.tracer.EventTracer` to stream pipeline
     events (and populate the latency/delay histograms) during the run.

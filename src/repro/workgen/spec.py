@@ -190,10 +190,6 @@ def parse_name(name: str) -> tuple[WorkloadSpec, int]:
     return spec, seed
 
 
-def tolerance_of(knob: str) -> dict:
-    return TOLERANCES[knob]
-
-
 def tolerance_text(knob: str) -> str:
     """Human form of one knob's tolerance (docs table, lint-enforced)."""
     tol = TOLERANCES[knob]

@@ -5,6 +5,7 @@ import pytest
 from repro.core import autotune_threshold
 from repro.sim import simulate
 from repro.workloads import get_workload
+from repro.workloads.base import WorkloadRegistry
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +39,19 @@ def test_summary_renders(tuned):
     text = tuned.summary()
     assert "autotune mcf" in text
     assert "T=" in text
+
+
+def test_train_input_is_built_once(monkeypatch):
+    """The baseline and every threshold are cells of one input group: the
+    train input is built (and emulated) once, not once per threshold."""
+    builds = []
+    real_build = WorkloadRegistry.build
+
+    def counting(self, name, variant="ref", scale=1.0):
+        builds.append((name, variant))
+        return real_build(self, name, variant=variant, scale=scale)
+
+    monkeypatch.setattr(WorkloadRegistry, "build", counting)
+    tuned = autotune_threshold("mcf", thresholds=(0.05, 0.01), scale=0.1)
+    assert set(tuned.candidates) == {0.05, 0.01}
+    assert builds == [("mcf", "train")]

@@ -78,6 +78,22 @@ def test_report_without_runs_is_an_error(tmp_path, capsys):
     assert "no runs" in capsys.readouterr().err
 
 
+def test_report_exits_1_when_a_cell_is_missing(tmp_path, capsys):
+    """Like run, report exits 1 for a run dir with failed or missing cells."""
+    out = tmp_path / "runs"
+    assert run_cli("run", "--experiment", "suite", "--workloads",
+                   "pointer_chase", "--scale", "0.05", "--out", str(out),
+                   "--no-cache") == 0
+    (run_dir,) = (out / "suite").glob("run-*")
+    assert run_cli("report", "--run-dir", str(run_dir)) == 0
+    capsys.readouterr()
+
+    next((run_dir / "cells").glob("*.json")).unlink()
+    assert run_cli("report", "--run-dir", str(run_dir), "--json") == 1
+    (row,) = json.loads(capsys.readouterr().out)["failed"]
+    assert row["error"] == "missing"
+
+
 def test_run_writes_cells_incrementally(tmp_path):
     out = str(tmp_path / "runs")
     assert run_cli("run", "--experiment", "suite", "--workloads",

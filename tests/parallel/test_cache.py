@@ -81,18 +81,6 @@ def test_overwrite_is_idempotent(cache):
     assert len(cache) == 1
 
 
-def test_eviction_drops_oldest_beyond_capacity(tmp_path):
-    cache = ResultCache(str(tmp_path / "cache"), max_entries=2)
-    cache.put(KEY_A, {"ipc": 1.0})
-    os.utime(cache.path_for(KEY_A), (1, 1))  # make A unambiguously oldest
-    cache.put(KEY_B, {"ipc": 2.0})
-    cache.put("c" * 64, {"ipc": 3.0})
-    assert len(cache) == 2
-    assert cache.stats.evictions == 1
-    assert cache.get(KEY_A) is None  # the oldest entry went
-    assert cache.get(KEY_B) is not None
-
-
 def test_clear_removes_everything(cache):
     cache.put(KEY_A, {"ipc": 1.0})
     cache.put(KEY_B, {"ipc": 2.0})
@@ -109,7 +97,6 @@ def test_counters_register_into_telemetry(cache):
     assert registry.value("parallel.cache.misses") == 1
     assert registry.value("parallel.cache.hits") == 1
     assert registry.value("parallel.cache.stores") == 1
-    assert registry.value("parallel.cache.evictions") == 0
 
 
 # -- corruption accounting -----------------------------------------------------

@@ -33,7 +33,8 @@ def test_from_mode():
 def test_clean_run_passes_full_audit(mode):
     """Every cycle audited, including the final drain check."""
     wl = get_workload("mcf", scale=0.05)
-    result = simulate(wl, mode, invariants="full")
+    kwargs = {"critical_pcs": frozenset({5, 6})} if mode == "crisp" else {}
+    result = simulate(wl, mode, invariants="full", **kwargs)
     assert result.stats.retired > 0
 
 

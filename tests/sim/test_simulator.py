@@ -13,7 +13,9 @@ def small_mcf():
 
 def test_all_modes_run(small_mcf):
     for mode in MODES:
-        result = simulate(small_mcf, mode)
+        # Crisp mode needs an annotation; the empty one tags nothing.
+        kwargs = {"critical_pcs": frozenset()} if mode == "crisp" else {}
+        result = simulate(small_mcf, mode, **kwargs)
         assert result.stats.retired == len(small_mcf.trace())
         assert result.mode == mode
         assert result.workload_name == "mcf"
@@ -22,6 +24,13 @@ def test_all_modes_run(small_mcf):
 def test_unknown_mode_rejected(small_mcf):
     with pytest.raises(ValueError, match="unknown mode"):
         simulate(small_mcf, "runahead")
+
+
+def test_crisp_mode_without_annotation_is_rejected(small_mcf):
+    """The crisp scheduler with nothing tagged answers like ooo; simulate()
+    refuses to run it unless the empty annotation is passed explicitly."""
+    with pytest.raises(ValueError, match="needs critical_pcs"):
+        simulate(small_mcf, "crisp")
 
 
 def test_crisp_mode_uses_annotation(small_mcf):
