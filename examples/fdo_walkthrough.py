@@ -11,7 +11,6 @@ Run:  python examples/fdo_walkthrough.py
 from repro.core import (
     CriticalPathConfig,
     DelinquencyConfig,
-    IndexedTrace,
     Rewriter,
     classify,
     extract_slice,
@@ -25,8 +24,8 @@ def main() -> None:
     train = get_workload("mcf", "train")
 
     # -- Step 1: profile on the unmodified baseline core ---------------------
-    indexed = IndexedTrace(train.trace())
-    profile, stats = profile_workload(train, trace=indexed)
+    trace = train.trace()
+    profile, stats = profile_workload(train)
     print(f"profiled {profile.total_insts} instructions at IPC {profile.ipc:.3f}")
     print("top LLC-missing loads (pc, misses):", profile.top_missing_loads(4))
 
@@ -38,7 +37,7 @@ def main() -> None:
 
     # -- Step 3: extract one slice (through registers AND memory) -------------
     root = classification.delinquent_loads[0]
-    slice_ = extract_slice(indexed, root, kind="load")
+    slice_ = extract_slice(trace, root, kind="load")
     print(f"\nslice of pc {root}: {slice_.static_size} static instructions, "
           f"avg dynamic cone {slice_.avg_dynamic_size:.0f}")
     program = train.program
@@ -46,13 +45,13 @@ def main() -> None:
         print(f"  {program[pc]!r}")
 
     # -- Step 4: critical-path filter -----------------------------------------
-    kept = filter_slice(indexed, slice_, profile, CriticalPathConfig())
+    kept = filter_slice(trace, slice_, profile, CriticalPathConfig())
     dropped = slice_.pcs - kept
     print(f"\ncritical-path filter kept {len(kept)} of {slice_.static_size} "
           f"(dropped: {sorted(dropped)})")
 
     # -- Step 5: rewrite with the prefix and the ratio guardrail --------------
-    rewriter = Rewriter(program, dict(indexed.trace.exec_counts))
+    rewriter = Rewriter(program, dict(trace.exec_counts))
     annotation = rewriter.annotate({root: kept}, {root: 1.0})
     print(f"\nannotation: {len(annotation.critical_pcs)} critical PCs, "
           f"{annotation.critical_ratio:.1%} of dynamic instructions")

@@ -71,12 +71,11 @@ def render_table() -> str:
         "uarch": "Back end (scheduler, ROB, LSQ, ports)",
         "memory": "Memory hierarchy",
         "parallel": "Parallel execution (result cache, process pool)",
-        "sampling": "Sampled simulation (intervals, warmup, estimator)",
         "serve": "Job server (admission, coalescing, supervision, drain)",
         "multicore": "Multicore co-run (shared LLC, DRAM contention, MSHR pool)",
     }
-    for group in ("core", "frontend", "uarch", "memory", "parallel",
-                  "sampling", "serve", "multicore"):
+    for group in ("core", "frontend", "uarch", "memory", "parallel", "serve",
+                  "multicore"):
         metrics = groups.pop(group, [])
         if not metrics:
             continue

@@ -31,7 +31,7 @@ def cmd_workloads(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .parallel.cellkey import CellSpec
-    from .parallel.executor import cell_annotation, cell_input
+    from .parallel.executor import _shared_inputs, cell_annotation, cell_input
     from .resilience import SimulationError, Watchdog
     from .sim import simulate
     from .telemetry import EventTracer
@@ -55,9 +55,13 @@ def cmd_simulate(args) -> int:
             kwargs["livelock_cycles"] = args.watchdog_cycles
         watchdog = Watchdog(**kwargs)
     try:
-        critical = cell_annotation(spec)
+        # One input group, as under run_cells: a train-input crisp run
+        # profiles the input it then simulates, building it once.
+        with _shared_inputs():
+            critical = cell_annotation(spec)
+            workload = cell_input(spec)
         result = simulate(
-            cell_input(spec),
+            workload,
             args.mode,
             critical_pcs=critical,
             tracer=tracer,

@@ -10,13 +10,12 @@ from .delinquency import (
     compute_stride_scores,
     stride_predictability,
 )
-from .fdo import CrispConfig, CrispResult, annotate_for, run_crisp_flow
+from .fdo import CrispConfig, CrispResult, run_crisp_flow
 from .ibda import IBDA_CONFIGS, DelinquentLoadTable, IbdaEngine, InstructionSliceTable, make_ibda
 from .profiler import ProfileReport, apply_sampling, profile_workload
 from .report import annotated_listing, slice_report
 from .rewriter import Annotation, Rewriter
-from .slicer import Slice, SliceDag, dynamic_cone_size, extract_slice, extract_slices
-from .tracer import IndexedTrace, capture_trace
+from .slicer import Slice, SliceDag, dynamic_cone_size, extract_slice
 
 __all__ = [
     "Annotation",
@@ -30,25 +29,21 @@ __all__ = [
     "DelinquentLoadTable",
     "IBDA_CONFIGS",
     "IbdaEngine",
-    "IndexedTrace",
     "InstructionSliceTable",
     "ProfileReport",
     "Rewriter",
     "Slice",
     "SliceDag",
     "analyze_dag",
-    "annotate_for",
     "annotated_listing",
     "slice_report",
     "apply_sampling",
-    "capture_trace",
     "classify",
     "classify_stalling_instructions",
     "compute_stride_scores",
     "stride_predictability",
     "dynamic_cone_size",
     "extract_slice",
-    "extract_slices",
     "filter_slice",
     "make_ibda",
     "node_latency",

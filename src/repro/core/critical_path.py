@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..isa.emulator import ExecutionTrace
 from .profiler import ProfileReport
 from .slicer import Slice, SliceDag
-from .tracer import IndexedTrace
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class CriticalPathConfig:
     keep_fraction: float = 0.75
 
 
-def node_latency(indexed: IndexedTrace, seq: int, profile: ProfileReport | None) -> float:
+def node_latency(trace: ExecutionTrace, seq: int, profile: ProfileReport | None) -> float:
     """Latency weight of one dynamic node: table latency, or AMAT for loads."""
-    d = indexed[seq]
+    d = trace[seq]
     if d.sinst.is_load and profile is not None:
         stats = profile.loads.get(d.pc)
         if stats is not None and stats.execs:
@@ -38,7 +38,7 @@ def node_latency(indexed: IndexedTrace, seq: int, profile: ProfileReport | None)
 
 
 def analyze_dag(
-    indexed: IndexedTrace,
+    trace: ExecutionTrace,
     dag: SliceDag,
     profile: ProfileReport | None,
 ) -> tuple[dict[int, float], float]:
@@ -47,7 +47,7 @@ def analyze_dag(
     Returns ``(through, critical_length)`` where ``through[seq]`` is the
     longest leaf-to-root path passing through ``seq``.
     """
-    lat = {seq: node_latency(indexed, seq, profile) for seq in dag.nodes}
+    lat = {seq: node_latency(trace, seq, profile) for seq in dag.nodes}
     consumers: dict[int, list[int]] = {}
     producers: dict[int, list[int]] = {}
     for p, c in dag.edges:
@@ -79,7 +79,7 @@ def analyze_dag(
 
 
 def filter_slice(
-    indexed: IndexedTrace,
+    trace: ExecutionTrace,
     slice_: Slice,
     profile: ProfileReport | None = None,
     config: CriticalPathConfig | None = None,
@@ -92,12 +92,12 @@ def filter_slice(
     config = config or CriticalPathConfig()
     kept: set[int] = {slice_.root_pc}
     for dag in slice_.dags:
-        through, critical = analyze_dag(indexed, dag, profile)
+        through, critical = analyze_dag(trace, dag, profile)
         if critical <= 0.0:
             continue
         threshold = config.keep_fraction * critical
         for seq, value in through.items():
             if value >= threshold:
-                kept.add(indexed[seq].pc)
+                kept.add(trace[seq].pc)
     # Only PCs that were in the (already merged) slice can be tagged.
     return kept & (slice_.pcs | {slice_.root_pc})

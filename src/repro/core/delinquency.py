@@ -39,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..isa.emulator import ExecutionTrace
 from .profiler import ProfileReport
-from .tracer import IndexedTrace
 
 #: Instruction mix at which the exec-ratio threshold applies unscaled; the
 #: paper scales its thresholds linearly with the load fraction of the mix.
@@ -81,14 +81,14 @@ class Classification:
     rejected: dict[int, str] = field(default_factory=dict)
 
 
-def stride_predictability(indexed: IndexedTrace, pc: int, max_samples: int = 256) -> float:
+def stride_predictability(trace: ExecutionTrace, pc: int, max_samples: int = 256) -> float:
     """Fraction of ``pc``'s accesses whose delta repeats the previous delta.
 
     1.0 for constant or constant-stride address streams (covered by the
     stride/stream/BOP prefetchers), ~0 for pointer chases and gathers.
     """
-    seqs = indexed.instances(pc)[:max_samples]
-    addrs = [indexed[s].addr for s in seqs if indexed[s].addr >= 0]
+    seqs = trace.pc_index().get(pc, [])[:max_samples]
+    addrs = [trace[s].addr for s in seqs if trace[s].addr >= 0]
     if len(addrs) < 3:
         return 0.0
     repeats = 0
@@ -98,10 +98,10 @@ def stride_predictability(indexed: IndexedTrace, pc: int, max_samples: int = 256
     return repeats / (len(addrs) - 2)
 
 
-def compute_stride_scores(indexed: IndexedTrace, profile: ProfileReport) -> dict[int, float]:
+def compute_stride_scores(trace: ExecutionTrace, profile: ProfileReport) -> dict[int, float]:
     """Stride-predictability for every missing load PC in the profile."""
     return {
-        pc: stride_predictability(indexed, pc)
+        pc: stride_predictability(trace, pc)
         for pc, stats in profile.loads.items()
         if stats.llc_misses
     }

@@ -11,9 +11,9 @@ pipeline:
    and memory) from the train trace, merging instances per root.
 4. **Critical-path filter** (Section 3.5): keep only near-critical-path
    instructions of each slice.
-5. **Rewrite** (step 3): merge slices, enforce the 5%-40% dynamic
-   critical-ratio guardrail, and lay the binary out with the one-byte
-   prefix applied.
+5. **Rewrite** (step 3): merge slices, enforce the 40% cap of the
+   dynamic critical-ratio guardrail, and lay the binary out with the
+   one-byte prefix applied.
 
 The returned :class:`CrispResult` carries everything the evaluation needs:
 the annotation (critical PCs + layout) to run on the *ref* input, plus the
@@ -36,7 +36,6 @@ from .delinquency import (
 from .profiler import ProfileReport, profile_workload
 from .rewriter import Annotation, Rewriter
 from .slicer import Slice, extract_slice
-from .tracer import IndexedTrace
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,9 @@ class CrispConfig:
     #: merge step).
     max_instances: int = 64
     max_critical_ratio: float = 0.40
+    #: The paper's 5% lower bound on the dynamic critical ratio. The flow
+    #: does not enforce it; the field stays because crisp cell keys hash
+    #: the config's recipe, and dropping it would move every one of them.
     min_critical_ratio: float = 0.05
 
 
@@ -90,26 +92,6 @@ class CrispResult:
         return len(self.annotation.critical_pcs)
 
 
-def _check_variant_compatibility(train: Workload, ref: Workload) -> None:
-    """Static PCs must align between train and ref binaries.
-
-    The builders emit identical code shapes for both variants (only data
-    and immediates differ); this guards that invariant, since annotations
-    extracted on train are applied to ref by static PC.
-    """
-    if len(train.program) != len(ref.program):
-        raise ValueError(
-            f"{train.name}: train/ref programs differ in length "
-            f"({len(train.program)} vs {len(ref.program)}); annotations "
-            "cannot be transferred"
-        )
-    for a, b in zip(train.program, ref.program):
-        if a.opcode is not b.opcode:
-            raise ValueError(
-                f"{train.name}: train/ref opcode mismatch at pc {a.idx}"
-            )
-
-
 def run_crisp_flow(
     workload_name: str,
     config: CrispConfig | None = None,
@@ -131,13 +113,13 @@ def run_crisp_flow(
     config = config or CrispConfig()
     train = train_workload or REGISTRY.build(workload_name, variant="train", scale=scale)
 
-    # Step 1: profile on the baseline core.
-    indexed = IndexedTrace(train.trace())
-    profile, _ = profile_workload(train, core_config, trace=indexed, engine=engine)
+    # Step 1: profile on the baseline core (the train input's ooo run).
+    trace = train.trace()
+    profile, _ = profile_workload(train, core_config, engine=engine)
 
     # Step 2: classify delinquent loads and hard branches. Address streams
     # from the trace feed the "not a constant or stride" criterion.
-    stride_scores = compute_stride_scores(indexed, profile)
+    stride_scores = compute_stride_scores(trace, profile)
     classification = classify(profile, config.delinquency, stride_scores)
     load_roots = classification.delinquent_loads if config.use_load_slices else []
     branch_roots = classification.hard_branches if config.use_branch_slices else []
@@ -146,18 +128,18 @@ def run_crisp_flow(
     slices: list[Slice] = []
     for pc in load_roots:
         slices.append(
-            extract_slice(indexed, pc, kind="load", max_instances=config.max_instances)
+            extract_slice(trace, pc, kind="load", max_instances=config.max_instances)
         )
     for pc in branch_roots:
         slices.append(
-            extract_slice(indexed, pc, kind="branch", max_instances=config.max_instances)
+            extract_slice(trace, pc, kind="branch", max_instances=config.max_instances)
         )
 
     # Step 4: critical-path filtering.
     filtered: dict[int, set[int]] = {}
     importance: dict[int, float] = {}
     for s in slices:
-        filtered[s.root_pc] = filter_slice(indexed, s, profile, config.critical_path)
+        filtered[s.root_pc] = filter_slice(trace, s, profile, config.critical_path)
         if s.kind == "load":
             importance[s.root_pc] = profile.miss_contribution(s.root_pc)
         else:
@@ -169,9 +151,8 @@ def run_crisp_flow(
     # Step 5: rewrite with the ratio guardrail.
     rewriter = Rewriter(
         train.program,
-        dict(indexed.trace.exec_counts),
+        dict(trace.exec_counts),
         max_critical_ratio=config.max_critical_ratio,
-        min_critical_ratio=config.min_critical_ratio,
     )
     annotation = rewriter.annotate(filtered, importance)
 
@@ -183,14 +164,3 @@ def run_crisp_flow(
         filtered_pcs=filtered,
         annotation=annotation,
     )
-
-
-def annotate_for(
-    workload: Workload,
-    result: CrispResult,
-) -> frozenset[int]:
-    """Transfer a train-derived annotation onto another variant's binary."""
-    # Static indices align across variants; validate before transfer.
-    train = REGISTRY.build(result.workload_name, variant="train")
-    _check_variant_compatibility(train, workload)
-    return result.critical_pcs

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from ..uarch.config import CoreConfig
 from ..uarch.stats import PcBranchStats, PcLoadStats, SimStats
 from ..workloads.base import Workload
-from .tracer import IndexedTrace
 
 
 @dataclass
@@ -79,22 +78,20 @@ def profile_workload(
     workload: Workload,
     config: CoreConfig | None = None,
     *,
-    trace: IndexedTrace | None = None,
     engine: str | None = None,
 ) -> tuple[ProfileReport, SimStats]:
     """Run the baseline core over ``workload`` and distil a profile.
 
-    The profiling configuration is always the *baseline* scheduler: the
-    paper profiles unmodified binaries on unmodified hardware (Figure 5
-    step 1) before any annotation exists. ``engine`` picks the cycle-model
-    implementation as in :func:`~repro.sim.simulator.simulate`; the
-    profile is identical either way.
+    The profiling run is the ``"ooo"`` run of ``workload`` (Figure 5 step
+    1: unmodified binaries on unmodified hardware, before any annotation
+    exists), the same :func:`~repro.sim.simulator.simulate` call an
+    ``ooo`` cell makes, so a ``config`` with another scheduler still
+    profiles on the baseline one. ``engine`` picks the cycle-model
+    implementation; the profile is identical either way.
     """
-    from ..sim.simulator import pipeline_class
+    from ..sim.simulator import simulate
 
-    config = (config or CoreConfig.skylake()).with_scheduler("oldest_first")
-    indexed = trace or IndexedTrace(workload.trace())
-    stats = pipeline_class(engine)(indexed.trace, config).run()
+    stats = simulate(workload, "ooo", config=config, engine=engine).stats
     report = ProfileReport(
         workload_name=workload.name,
         variant=workload.variant,

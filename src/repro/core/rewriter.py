@@ -78,12 +78,10 @@ class Rewriter:
         exec_counts: dict[int, int],
         *,
         max_critical_ratio: float = 0.40,
-        min_critical_ratio: float = 0.05,
     ):
         self.program = program
         self.exec_counts = dict(exec_counts)
         self.max_critical_ratio = max_critical_ratio
-        self.min_critical_ratio = min_critical_ratio
         self._total_dyn = sum(self.exec_counts.values())
 
     def _ratio(self, pcs: set[int]) -> float:

@@ -26,11 +26,12 @@ Two sizes are distinguished, because the paper uses both:
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .tracer import IndexedTrace
+from ..isa.emulator import ExecutionTrace
 
 
 @dataclass
@@ -59,7 +60,7 @@ class Slice:
     dags: list[SliceDag] = field(default_factory=list)
     #: The trace the DAGs were sliced from, and the per-instance node cap:
     #: what :attr:`dynamic_sizes` measures the cones on.
-    indexed: IndexedTrace | None = field(default=None, repr=False, compare=False)
+    trace: ExecutionTrace | None = field(default=None, repr=False, compare=False)
     max_nodes: int = 4096
 
     @property
@@ -74,10 +75,10 @@ class Slice:
         does, so the cones are walked on first read rather than while
         slicing.
         """
-        if self.indexed is None:
+        if self.trace is None:
             return []
         return [
-            dynamic_cone_size(self.indexed, dag.root_seq, self.max_nodes)
+            dynamic_cone_size(self.trace, dag.root_seq, self.max_nodes)
             for dag in self.dags
         ]
 
@@ -88,11 +89,26 @@ class Slice:
         return sum(self.dynamic_sizes) / len(self.dynamic_sizes)
 
 
+def sample_instances(trace: ExecutionTrace, pc: int, count: int) -> list[int]:
+    """Up to ``count`` dynamic instances of ``pc``, sampled across the run.
+
+    Sampling is uniform-random with a per-PC deterministic seed rather
+    than strided: a fixed stride aliases with periodic call-site
+    rotation (e.g. a root called from N blocks where the stride shares
+    a factor with N samples only N/gcd of them), which would leave
+    whole call paths out of the merged slice.
+    """
+    instances = trace.pc_index().get(pc, [])
+    if len(instances) <= count:
+        return list(instances)
+    rng = random.Random(0x5EED ^ pc)
+    return sorted(rng.sample(instances, count))
+
+
 def _slice_instance(
-    indexed: IndexedTrace, root_seq: int, max_nodes: int
+    trace: ExecutionTrace, root_seq: int, max_nodes: int
 ) -> tuple[SliceDag, set[int]]:
     """Extract one instance's slice DAG and its static PC set."""
-    trace = indexed.trace
     root = trace[root_seq]
     dag = SliceDag(root_seq, nodes={root_seq})
     slice_pcs = {root.pc}
@@ -118,13 +134,12 @@ def _slice_instance(
     return dag, slice_pcs
 
 
-def dynamic_cone_size(indexed: IndexedTrace, root_seq: int, max_nodes: int = 4096) -> int:
+def dynamic_cone_size(trace: ExecutionTrace, root_seq: int, max_nodes: int = 4096) -> int:
     """Size of the full backward dependence cone (no PC dedup), capped.
 
     This is the quantity Figure 4 reports: how many dynamic instructions a
     hardware slice mechanism would have to track per delinquent load.
     """
-    trace = indexed.trace
     visited = {root_seq}
     frontier: deque[int] = deque([root_seq])
     while frontier:
@@ -140,7 +155,7 @@ def dynamic_cone_size(indexed: IndexedTrace, root_seq: int, max_nodes: int = 409
 
 
 def extract_slice(
-    indexed: IndexedTrace,
+    trace: ExecutionTrace,
     root_pc: int,
     *,
     kind: str = "load",
@@ -153,22 +168,10 @@ def extract_slice(
     code slices that refer to the same delinquent load instruction") so the
     static slice covers all paths that feed the root.
     """
-    result = Slice(root_pc=root_pc, kind=kind, indexed=indexed,
+    result = Slice(root_pc=root_pc, kind=kind, trace=trace,
                    max_nodes=max_nodes_per_instance)
-    for root_seq in indexed.sample_instances(root_pc, max_instances):
-        dag, pcs = _slice_instance(indexed, root_seq, max_nodes_per_instance)
+    for root_seq in sample_instances(trace, root_pc, max_instances):
+        dag, pcs = _slice_instance(trace, root_seq, max_nodes_per_instance)
         result.dags.append(dag)
         result.pcs |= pcs
     return result
-
-
-def extract_slices(
-    indexed: IndexedTrace,
-    load_pcs: list[int],
-    branch_pcs: list[int] = (),
-    **kwargs,
-) -> list[Slice]:
-    """Extract load slices and branch slices for all given roots."""
-    slices = [extract_slice(indexed, pc, kind="load", **kwargs) for pc in load_pcs]
-    slices += [extract_slice(indexed, pc, kind="branch", **kwargs) for pc in branch_pcs]
-    return slices

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from ..core.delinquency import classify, compute_stride_scores
 from ..core.profiler import apply_sampling, profile_workload
-from ..core.tracer import IndexedTrace
 from ..orchestrate import Experiment, register
 from ..workloads import REGISTRY
 from .common import ExperimentResult
@@ -36,9 +35,8 @@ class SamplingAblation(Experiment):
         )
         for name in self.workloads:
             train = REGISTRY.build(name, variant="train", scale=self.scale)
-            indexed = IndexedTrace(train.trace())
-            exact_profile, _ = profile_workload(train, trace=indexed)
-            strides = compute_stride_scores(indexed, exact_profile)
+            exact_profile, _ = profile_workload(train)
+            strides = compute_stride_scores(train.trace(), exact_profile)
             exact = set(classify(exact_profile, stride_scores=strides).delinquent_loads)
             row = [name]
             for period in PERIODS:

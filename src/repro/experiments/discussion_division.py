@@ -22,7 +22,6 @@ from ..core.delinquency import classify_stalling_instructions
 from ..core.profiler import profile_workload
 from ..core.rewriter import Rewriter
 from ..core.slicer import extract_slice
-from ..core.tracer import IndexedTrace
 from ..orchestrate import Experiment, Instance, register
 from ..workloads.divchain import build_div_chain
 from .common import ExperimentResult, format_pct
@@ -49,18 +48,18 @@ class DiscussionDivision(Experiment):
         """The stall roots' filtered slices, derived once on train."""
         if self._roots is None:
             train = build_div_chain("train", self.scale)
-            indexed = IndexedTrace(train.trace())
-            profile, _ = profile_workload(train, trace=indexed)
+            trace = train.trace()
+            profile, _ = profile_workload(train)
             self._roots = classify_stalling_instructions(profile, train.program)
             slices = {
                 pc: filter_slice(
-                    indexed, extract_slice(indexed, pc, kind="load"), profile,
+                    trace, extract_slice(trace, pc, kind="load"), profile,
                     CriticalPathConfig(),
                 )
                 for pc in self._roots
             }
             annotation = Rewriter(
-                train.program, dict(indexed.trace.exec_counts)
+                train.program, dict(trace.exec_counts)
             ).annotate(slices, {pc: 1.0 for pc in self._roots})
             self._critical_pcs = tuple(sorted(annotation.critical_pcs))
         return self._critical_pcs

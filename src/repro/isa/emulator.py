@@ -57,8 +57,9 @@ class ExecutionTrace:
     halted: bool
     exec_counts: dict[int, int] = field(default_factory=dict)
     # Lazy per-PC index: pc -> positions in ``insts``. Built on the first
-    # ``instances_of`` call (one scan) and shared with ``dynamic_count``,
-    # so repeated per-PC queries never rescan the dynamic stream.
+    # per-PC query (one scan) and shared by ``instances_of``,
+    # ``dynamic_count`` and the slicer, so repeated per-PC queries never
+    # rescan the dynamic stream.
     _pc_index: dict[int, list[int]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -73,11 +74,18 @@ class ExecutionTrace:
         return self.insts[seq]
 
     def pc_index(self) -> dict[int, list[int]]:
-        """The per-PC position index, built lazily on first use."""
+        """The per-PC position index, built lazily on first use.
+
+        Positions are read from each instruction's ``seq``, which equals its
+        position in every trace :func:`execute` and
+        :func:`~repro.sampling.intervals.slice_trace` produce; the index
+        then shares the trace's own int objects instead of allocating one
+        per entry.
+        """
         if self._pc_index is None:
             index: dict[int, list[int]] = {}
-            for pos, d in enumerate(self.insts):
-                index.setdefault(d.pc, []).append(pos)
+            for d in self.insts:
+                index.setdefault(d.pc, []).append(d.seq)
             self._pc_index = index
         return self._pc_index
 

@@ -14,8 +14,7 @@ affordable (docs/SAMPLING.md):
 * :mod:`estimate`   — exact :meth:`SimStats.merge` composition plus a
   CPI-sample mean with a 95% confidence interval on IPC,
 * :mod:`sampler`    — the per-run loop (one warmer walked forward through
-  the trace, a copy of its state per detailed interval) and
-  ``sampling.*`` telemetry,
+  the trace, a copy of its state per detailed interval),
 * :mod:`cells`      — one sampled cell per parent over the repro.parallel
   pool/cache.
 """
@@ -32,12 +31,7 @@ from .intervals import (
     slice_trace,
     systematic_intervals,
 )
-from .sampler import (
-    SamplingStats,
-    plan_for_trace,
-    simulate_interval,
-    simulate_sampled,
-)
+from .sampler import plan_for_trace, simulate_interval, simulate_sampled
 from .simpoint import pick_representatives, simpoint_intervals
 from .warmup import FunctionalWarmer, pipeline_state_digest, state_digest
 
@@ -46,7 +40,6 @@ __all__ = [
     "Interval",
     "SampledEstimate",
     "SamplingPlan",
-    "SamplingStats",
     "TraceSlice",
     "estimate_from_intervals",
     "parse_sample",

@@ -10,51 +10,12 @@ the repro.parallel pool runs exactly this loop (:mod:`repro.sampling.cells`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.simulator import SimResult, pipeline_class, resolve_mode
 from ..uarch.config import CoreConfig
 from .estimate import SampledEstimate, estimate_from_intervals
 from .intervals import Interval, SamplingPlan, slice_trace, systematic_intervals
 from .simpoint import simpoint_intervals
 from .warmup import FunctionalWarmer
-
-@dataclass
-class SamplingStats:
-    """Execution counters for sampled runs (the ``sampling.*`` group)."""
-
-    runs: int = 0
-    intervals: int = 0
-    insts_total: int = 0
-    insts_detailed: int = 0
-    insts_warmed: int = 0
-    detailed_cycles: int = 0
-
-    def register_into(self, registry) -> None:
-        """Register collector-backed counters (docs/METRICS.md contract)."""
-        spec = (
-            ("sampling.runs", "runs", "runs",
-             "workload runs answered by the sampled estimator"),
-            ("sampling.intervals", "intervals", "intervals",
-             "trace intervals simulated in detail"),
-            ("sampling.insts_total", "insts_total", "insts",
-             "dynamic instructions the sampled runs stand for"),
-            ("sampling.insts_detailed", "insts_detailed", "insts",
-             "dynamic instructions simulated cycle-accurately"),
-            ("sampling.insts_warmed", "insts_warmed", "insts",
-             "dynamic instructions replayed by functional warmup"),
-            ("sampling.detailed_cycles", "detailed_cycles", "cycles",
-             "simulated cycles spent in detailed intervals"),
-        )
-        for name, field_name, unit, desc in spec:
-            registry.counter(
-                name,
-                unit=unit,
-                desc=desc,
-                owner="sampled simulation",
-                figure="",
-                collect=lambda f=field_name: getattr(self, f),
-            )
 
 
 def simulate_interval(
@@ -67,7 +28,6 @@ def simulate_interval(
     warmed: FunctionalWarmer | None = None,
     invariants: str | None = None,
     watchdog=None,
-    stats: SamplingStats | None = None,
     engine: str | None = None,
 ) -> SimResult:
     """Detailed-simulate trace positions ``[start, end)`` of ``workload``.
@@ -94,8 +54,6 @@ def simulate_interval(
         warmed = FunctionalWarmer(trace.program, config, critical_pcs=critical)
         warmed.warm(trace, 0, start)
         warmed.finish()
-        if stats is not None:
-            stats.insts_warmed += start
     warm_components = warmed.components() if warmed is not None else {}
     run_context = {"workload": workload.name, "mode": mode, "interval": [start, end]}
     pipeline = pipeline_class(engine)(
@@ -108,13 +66,8 @@ def simulate_interval(
         run_context=run_context,
         **warm_components,
     )
-    interval_stats = pipeline.run()
-    if stats is not None:
-        stats.intervals += 1
-        stats.insts_detailed += interval_stats.retired
-        stats.detailed_cycles += interval_stats.cycles
     return SimResult(
-        workload.name, mode, interval_stats, critical, registry=pipeline.telemetry
+        workload.name, mode, pipeline.run(), critical, registry=pipeline.telemetry
     )
 
 
@@ -136,7 +89,6 @@ def simulate_sampled(
     critical_pcs: frozenset[int] | None = None,
     invariants: str | None = None,
     watchdog=None,
-    stats: SamplingStats | None = None,
     engine: str | None = None,
 ) -> SampledEstimate:
     """Run ``workload`` sampled per ``plan`` and return the estimate.
@@ -171,13 +123,8 @@ def simulate_sampled(
             warmed=warmer.copy().finish() if iv.start else None,
             invariants=invariants,
             watchdog=watchdog,
-            stats=stats,
             engine=engine,
         ).stats
-    if stats is not None:
-        stats.runs += 1
-        stats.insts_total += len(trace.insts)
-        stats.insts_warmed += warmed_to
     return estimate_from_intervals(
         intervals, interval_stats, len(trace.insts), policy=plan.policy
     )

@@ -554,7 +554,11 @@ class SimServer:
                 extras = {"engine": engine} if engine is not None else {}
             try:
                 experiment = get_experiment(name)(**kwargs)
-                plan = experiment.plan()
+                # Planning may run FDO flows and build inputs: off the loop,
+                # so requests and the hang watchdog keep being served. The
+                # experiment memoizes what it derived, which a drain's
+                # re-plan of the same object reuses.
+                plan = await asyncio.to_thread(experiment.plan)
             except ValueError as exc:
                 raise ProtocolError(
                     str(exc), code=protocol.E_BAD_REQUEST) from exc

@@ -131,7 +131,6 @@ def simulate(
     tracer: EventTracer | None = None,
     invariants: str | None = None,
     watchdog: Watchdog | None = None,
-    crash_dir: str | None = None,
     engine: str | None = None,
 ) -> SimResult:
     """Run ``workload`` in ``mode`` and return the result.
@@ -151,17 +150,15 @@ def simulate(
     events (and populate the latency/delay histograms) during the run.
 
     Resilience knobs (docs/RESILIENCE.md): ``invariants`` selects the audit
-    cadence (``"off"``/``"periodic"``/``"full"``; default off), ``watchdog``
-    overrides livelock/cycle limits, and ``crash_dir`` makes failures write
-    a crash bundle there (shorthand for a watchdog with that directory).
+    cadence (``"off"``/``"periodic"``/``"full"``; default off), and
+    ``watchdog`` overrides livelock/cycle limits; a watchdog with a
+    ``crash_dir`` makes failures write a crash bundle there.
 
     ``engine`` picks the cycle-model implementation (``"obj"``/``"array"``,
     default from ``REPRO_ENGINE`` then ``"array"``); results are identical
     either way — see docs/ENGINE.md for the equivalence contract.
     """
     config, used, ibda = resolve_mode(mode, config, critical_pcs)
-    if watchdog is None and crash_dir is not None:
-        watchdog = Watchdog(crash_dir=crash_dir)
     run_context = {"workload": workload.name, "mode": mode}
     resilience = dict(invariants=invariants, watchdog=watchdog, run_context=run_context)
     trace = workload.trace()

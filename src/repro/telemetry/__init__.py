@@ -48,7 +48,6 @@ def metrics_catalog() -> StatsRegistry:
     from ..multicore.stats import MulticoreStats
     from ..parallel.cache import CacheStats
     from ..parallel.executor import PoolStats
-    from ..sampling.sampler import SamplingStats
     from ..serve.telemetry import ServeStats
     from ..uarch.config import CoreConfig
     from ..uarch.pipeline import Pipeline
@@ -60,7 +59,6 @@ def metrics_catalog() -> StatsRegistry:
     registry = pipeline.telemetry
     CacheStats().register_into(registry)
     PoolStats().register_into(registry)
-    SamplingStats().register_into(registry)
     ServeStats().register_into(registry)
     MulticoreStats().register_into(registry)
     return registry

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     CriticalPathConfig,
-    IndexedTrace,
     analyze_dag,
     extract_slice,
     filter_slice,
@@ -34,7 +33,7 @@ def build_two_arm_slice():
 
 
 def test_long_arm_kept_short_arm_dropped():
-    t = IndexedTrace(execute(build_two_arm_slice()))
+    t = execute(build_two_arm_slice())
     s = extract_slice(t, 8)
     kept = filter_slice(t, s, profile=None, config=CriticalPathConfig(keep_fraction=0.9))
     assert {1, 2, 3, 6, 7, 8} <= kept
@@ -42,7 +41,7 @@ def test_long_arm_kept_short_arm_dropped():
 
 
 def test_keep_fraction_one_keeps_only_strict_critical_path():
-    t = IndexedTrace(execute(build_two_arm_slice()))
+    t = execute(build_two_arm_slice())
     s = extract_slice(t, 8)
     strict = filter_slice(t, s, config=CriticalPathConfig(keep_fraction=1.0))
     loose = filter_slice(t, s, config=CriticalPathConfig(keep_fraction=0.1))
@@ -51,7 +50,7 @@ def test_keep_fraction_one_keeps_only_strict_critical_path():
 
 
 def test_root_always_survives():
-    t = IndexedTrace(execute(build_two_arm_slice()))
+    t = execute(build_two_arm_slice())
     s = extract_slice(t, 8)
     kept = filter_slice(t, s, config=CriticalPathConfig(keep_fraction=1.0))
     assert 8 in kept
@@ -59,7 +58,7 @@ def test_root_always_survives():
 
 def test_through_path_matches_networkx():
     """analyze_dag's critical length == networkx dag_longest_path_length."""
-    t = IndexedTrace(execute(build_two_arm_slice()))
+    t = execute(build_two_arm_slice())
     s = extract_slice(t, 8)
     dag = s.dags[0]
     through, critical = analyze_dag(t, dag, profile=None)
@@ -93,7 +92,7 @@ def test_load_latency_uses_amat_from_profile():
     a.load("r2", "r1", 0)  # pc 1
     a.load("r3", "r2", 0)  # pc 2: ROOT, depends on a load
     a.halt()
-    t = IndexedTrace(execute(a.build(), memory={0x1000 >> 3: 0x2000}))
+    t = execute(a.build(), memory={0x1000 >> 3: 0x2000})
     profile = ProfileReport(
         workload_name="x",
         variant="train",
@@ -105,6 +104,6 @@ def test_load_latency_uses_amat_from_profile():
         load_fraction=0.5,
         loads={1: PcLoadStats(execs=1, llc_misses=1, latency_sum=180)},
     )
-    inner_load_seq = t.instances(1)[0]
+    inner_load_seq = t.pc_index()[1][0]
     assert node_latency(t, inner_load_seq, profile) == 180.0
     assert node_latency(t, inner_load_seq, None) == t[inner_load_seq].sinst.latency

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CriticalPathConfig, IndexedTrace, analyze_dag, extract_slice, filter_slice
+from repro.core import CriticalPathConfig, analyze_dag, extract_slice, filter_slice
 from repro.isa import Asm, execute
 
 
@@ -36,7 +36,7 @@ def random_dag_program(seed: int):
 @settings(max_examples=60, deadline=None)
 def test_kept_set_shrinks_with_keep_fraction(seed):
     program, root_pc = random_dag_program(seed)
-    t = IndexedTrace(execute(program))
+    t = execute(program)
     s = extract_slice(t, root_pc)
     previous = None
     for fraction in (0.1, 0.5, 0.9, 1.0):
@@ -52,7 +52,7 @@ def test_kept_set_shrinks_with_keep_fraction(seed):
 @settings(max_examples=60, deadline=None)
 def test_through_paths_bounded_by_critical(seed):
     program, root_pc = random_dag_program(seed)
-    t = IndexedTrace(execute(program))
+    t = execute(program)
     s = extract_slice(t, root_pc)
     for dag in s.dags:
         through, critical = analyze_dag(t, dag, profile=None)

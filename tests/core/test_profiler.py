@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import IndexedTrace, apply_sampling, profile_workload
+from repro.core import apply_sampling, profile_workload
 from repro.workloads import get_workload
 
 
@@ -51,14 +51,34 @@ def test_profiling_uses_baseline_scheduler():
 
     w = get_workload("mcf", "train", scale=0.2)
     report, _ = profile_workload(w, CoreConfig.skylake().with_scheduler("crisp"))
-    assert report.total_insts > 0  # ran; internally forced to oldest_first
+    assert report == profile_workload(w)[0]  # forced to oldest_first
 
 
-def test_shared_trace_avoids_refunctional_run():
+def test_profile_is_the_train_inputs_ooo_cell():
+    """Step 1 is the ``ooo`` run of the train input: its stats are the
+    ``ooo`` cell's, so a cached cell could stand in for the profile."""
+    from repro.parallel import run_cells
+    from repro.parallel.cellkey import CellSpec
+
+    (cell,) = run_cells([CellSpec("mcf", "ooo", scale=0.2, variant="train")])
+    _, stats = profile_workload(get_workload("mcf", "train", scale=0.2))
+    assert stats.to_dict() == cell.require_stats().to_dict()
+
+
+def test_shared_trace_avoids_refunctional_run(monkeypatch):
+    """The profile replays the workload's memoized trace, the one the flow
+    slices, instead of emulating the input again."""
+    import repro.workloads.base as base
+
     w = get_workload("mcf", "train", scale=0.2)
-    indexed = IndexedTrace(w.trace())
-    report, _ = profile_workload(w, trace=indexed)
-    assert report.total_insts == len(indexed)
+    trace = w.trace()
+
+    def second_emulation(*args, **kwargs):
+        raise AssertionError("the profile emulated the input again")
+
+    monkeypatch.setattr(base, "execute", second_emulation)
+    report, _ = profile_workload(w)
+    assert report.total_insts == len(trace)
 
 
 def test_pebs_sampling_preserves_rankings(mcf_profile):

@@ -1,11 +1,7 @@
 """Backward slice extraction (Section 3.3): termination rules, memory deps."""
 
-from repro.core import IndexedTrace, dynamic_cone_size, extract_slice, extract_slices
+from repro.core import dynamic_cone_size, extract_slice
 from repro.isa import Asm, execute
-
-
-def indexed(program, memory=None):
-    return IndexedTrace(execute(program, memory=memory or {}))
 
 
 def test_simple_address_slice():
@@ -15,7 +11,7 @@ def test_simple_address_slice():
     a.load("r3", "r2", 0)  # pc 2 (root)
     a.movi("r9", 5)  # pc 3: unrelated
     a.halt()
-    t = indexed(a.build())
+    t = execute(a.build())
     s = extract_slice(t, 2)
     assert s.pcs == {0, 1, 2}
     assert 3 not in s.pcs
@@ -30,7 +26,7 @@ def test_slice_follows_memory_dependence():
     a.load("r2", "sp", 0)  # 3: reload (through memory)
     a.load("r3", "r2", 0)  # 4: root
     a.halt()
-    t = indexed(a.build())
+    t = execute(a.build())
     s = extract_slice(t, 4)
     assert 2 in s.pcs, "spill store must be in the slice"
     assert 3 in s.pcs
@@ -49,7 +45,7 @@ def test_loop_carried_recursion_terminates():
     a.blt("r2", "r3", "loop")
     a.halt()
     memory = {(0x1000 + 0) >> 3: 0x1000}  # self-pointing
-    t = indexed(a.build(), memory)
+    t = execute(a.build(), memory=memory)
     s = extract_slice(t, 3)
     # Slice is tiny despite 50 dynamic iterations: each sampled instance's
     # producer is a previous instance of the root itself (rule 1); the
@@ -63,7 +59,7 @@ def test_constants_terminate_walk():
     a.movi("r1", 0x1000)
     a.load("r2", "r1", 0)
     a.halt()
-    t = indexed(a.build())
+    t = execute(a.build())
     s = extract_slice(t, 1)
     assert s.pcs == {0, 1}
     # The movi has no producers: the frontier empties.
@@ -83,9 +79,9 @@ def test_dynamic_cone_exceeds_static_slice():
     a.halt()
     a.load("r4", "r1", 0)
     # Unreachable load; instead slice the final add.
-    t = indexed(a.build())
+    t = execute(a.build())
     root_pc = 3
-    last = t.instances(root_pc)[-1]
+    last = t.pc_index()[root_pc][-1]
     cone = dynamic_cone_size(t, last)
     s = extract_slice(t, root_pc)
     assert cone > 50
@@ -102,8 +98,8 @@ def test_cone_size_capped():
     a.addi("r2", "r2", 1)
     a.blt("r2", "r3", "loop")
     a.halt()
-    t = indexed(a.build())
-    last = t.instances(3)[-1]
+    t = execute(a.build())
+    last = t.pc_index()[3][-1]
     assert dynamic_cone_size(t, last, max_nodes=64) == 64
 
 
@@ -131,7 +127,7 @@ def test_merged_slice_covers_multiple_paths():
     a.addi("r1", "r1", 1)
     a.blt("r1", "r2", "loop")
     a.halt()
-    t = indexed(a.build(), {0x3000 >> 3: 1, 0x3008 >> 3: 2})
+    t = execute(a.build(), memory={0x3000 >> 3: 1, 0x3008 >> 3: 2})
     root_pc = 6  # load r5, r4
     s = extract_slice(t, root_pc, max_instances=30)
     site_a_producer = 8  # addi r6, r9, 0
@@ -147,10 +143,10 @@ def test_extract_slices_kinds():
     a.beq("r2", "r0", "end")
     a.label("end")
     a.halt()
-    t = indexed(a.build())
-    slices = extract_slices(t, [1], [2])
-    assert [s.kind for s in slices] == ["load", "branch"]
-    branch_slice = slices[1]
+    t = execute(a.build())
+    load_slice = extract_slice(t, 1, kind="load")
+    branch_slice = extract_slice(t, 2, kind="branch")
+    assert (load_slice.kind, branch_slice.kind) == ("load", "branch")
     assert 1 in branch_slice.pcs  # the branch depends on the load
 
 
@@ -164,7 +160,7 @@ def test_lazy_dynamic_sizes_match_eager_cones():
     a.addi("r2", "r2", 1)
     a.blt("r2", "r3", "loop")
     a.halt()
-    t = indexed(a.build())
+    t = execute(a.build())
     for max_nodes in (64, 4096):  # capped and uncapped cones
         s = extract_slice(t, 3, max_instances=8, max_nodes_per_instance=max_nodes)
         assert len(s.dags) == 8

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import IndexedTrace, extract_slice
+from repro.core import extract_slice
 from repro.isa import Asm, execute
 
 
@@ -42,7 +42,7 @@ def test_slice_closure_over_producers(seed):
     unless excluded by termination rule 1 (PC already present)."""
     rng = random.Random(seed)
     program, root_pc = random_program(rng)
-    t = IndexedTrace(execute(program))
+    t = execute(program)
     s = extract_slice(t, root_pc)
     assert root_pc in s.pcs
     for dag in s.dags:
@@ -57,7 +57,7 @@ def test_slice_closure_over_producers(seed):
 def test_dag_edges_respect_program_order(seed):
     rng = random.Random(seed)
     program, root_pc = random_program(rng)
-    t = IndexedTrace(execute(program))
+    t = execute(program)
     s = extract_slice(t, root_pc)
     for dag in s.dags:
         for producer, consumer in dag.edges:
@@ -70,7 +70,7 @@ def test_dag_edges_respect_program_order(seed):
 def test_more_instances_never_shrink_slice(seed, instances):
     rng = random.Random(seed)
     program, root_pc = random_program(rng)
-    t = IndexedTrace(execute(program))
+    t = execute(program)
     small = extract_slice(t, root_pc, max_instances=1)
     large = extract_slice(t, root_pc, max_instances=instances)
     assert small.pcs <= large.pcs

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     CrispConfig,
     DelinquencyConfig,
-    IndexedTrace,
     Rewriter,
     classify,
     extract_slice,
@@ -77,7 +76,7 @@ def test_slice_of_load_with_constant_address():
     a.movi("r1", 0x1000)
     a.load("r2", "r1", 0)
     a.halt()
-    t = IndexedTrace(execute(a.build()))
+    t = execute(a.build())
     s = extract_slice(t, 1)
     assert s.pcs == {0, 1}
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sampling import SamplingStats, parse_sample, simulate_sampled
+from repro.sampling import parse_sample, simulate_sampled
 from repro.sim import simulate
 from repro.workloads import get_workload
 
@@ -42,18 +42,6 @@ def test_confidence_interval_brackets_the_truth(mcf4):
     # The 95% CI is calibrated against sampling noise, not a guarantee,
     # but on this deterministic workload/plan pair it contains the truth.
     assert lo <= full.ipc <= hi
-
-
-def test_sampling_stats_account_for_the_run(mcf4):
-    workload, full = mcf4
-    stats = SamplingStats()
-    est = simulate_sampled(workload, "ooo", plan=parse_sample(SPEC), stats=stats)
-    assert stats.runs == 1
-    assert stats.intervals == est.intervals
-    assert stats.insts_total == est.total_insts == full.retired
-    assert stats.insts_detailed == est.detailed_insts < full.retired
-    assert stats.insts_warmed > 0
-    assert stats.detailed_cycles == est.detailed_cycles
 
 
 def test_extrapolated_stats_have_run_magnitude(mcf4):

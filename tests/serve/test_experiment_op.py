@@ -129,6 +129,42 @@ def test_cell_planning_figures_are_admitted(tmp_path, name, workloads, cells):
     asyncio.run(scenario())
 
 
+def test_requests_are_answered_while_an_experiment_plans(tmp_path, monkeypatch):
+    """Planning runs off the event loop: a ``health`` request sent while an
+    experiment plans is answered before the plan returns. A plan run on
+    the loop would hold it, and this plan gives up waiting."""
+    import threading
+
+    from repro.orchestrate import get_experiment
+
+    suite = get_experiment("suite")
+    real_plan = suite.plan
+    planning, answered = threading.Event(), threading.Event()
+
+    def plan_after_health(self):
+        planning.set()
+        assert answered.wait(timeout=5), "no request answered while planning"
+        return real_plan(self)
+
+    monkeypatch.setattr(suite, "plan", plan_after_health)
+
+    async def scenario():
+        server = SimServer(jobs=1, drain_dir=str(tmp_path / "drain"))
+        submitted = asyncio.create_task(server.handle_request({
+            "op": "experiment", "experiment": "suite",
+            "workloads": ["pointer_chase"], "scale": FAST,
+        }))
+        while not planning.is_set():
+            await asyncio.sleep(0.01)
+        health = await server.handle_request({"op": "health"})
+        answered.set()
+        assert health["ok"] and health["status"] == "serving"
+        admitted = await submitted
+        assert admitted["ok"] and admitted["cells"] == 2, admitted
+
+    asyncio.run(scenario())
+
+
 def test_experiment_cells_coalesce_with_plain_submits(tmp_path):
     """An experiment cell and an identical submitted cell share one
     execution — experiments get no private cell identity."""

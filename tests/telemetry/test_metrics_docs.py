@@ -33,8 +33,7 @@ def test_catalog_covers_every_subsystem():
     names = set(metrics_catalog().names())
     roots = {name.split(".", 1)[0] for name in names}
     assert roots == {
-        "core", "frontend", "uarch", "memory", "parallel", "sampling", "serve",
-        "multicore",
+        "core", "frontend", "uarch", "memory", "parallel", "serve", "multicore",
     }
     # Spot-check one metric per ISSUE-listed structure family.
     for expected in (
@@ -46,7 +45,6 @@ def test_catalog_covers_every_subsystem():
         "memory.llc.misses",
         "memory.mshr.allocations",
         "memory.dram.row_hits",
-        "sampling.intervals",
         "multicore.llc.xcore_evictions",
     ):
         assert expected in names, f"{expected} missing from catalog"

@@ -22,6 +22,7 @@ from repro.orchestrate import get_experiment
 from repro.parallel import CellSpec, run_cells
 from repro.serve.server import SimServer
 from repro.sim import compare_workload
+from repro.workloads.base import WorkloadRegistry
 
 SCALE = 0.2
 MODES = ("ooo", "crisp", "ibda-1k")
@@ -58,6 +59,23 @@ def test_cli_sampled_simulate_prints_the_sampled_cell(mode, sampled_cells, capsy
     cell = sampled_cells[mode]
     assert simulate_cli(capsys, mode, "--sample", SAMPLE) == [
         cell.estimate.summary(), cell.stats.summary()]
+
+
+def test_cli_train_crisp_run_builds_its_input_once(monkeypatch, capsys):
+    """``simulate --variant train --mode crisp`` profiles the input it then
+    simulates, as the train crisp cell does: one build, the cell's summary."""
+    (cell,) = run_cells([CellSpec("mcf", "crisp", scale=SCALE, variant="train")])
+    builds = []
+    real_build = WorkloadRegistry.build
+
+    def counting(self, name, variant="ref", scale=1.0):
+        builds.append((name, variant, scale))
+        return real_build(self, name, variant=variant, scale=scale)
+
+    monkeypatch.setattr(WorkloadRegistry, "build", counting)
+    assert simulate_cli(capsys, "crisp", "--variant", "train") == [
+        cell.stats.summary()]
+    assert builds == [("mcf", "train", SCALE)]
 
 
 def test_the_crisp_cell_is_annotated(cells):
