@@ -95,7 +95,7 @@ def cmd_run(args) -> int:
             "key": result.key,
             "from_cache": result.from_cache,
             "ipc": result.ipc,
-            "stats": result.stats.to_dict(),
+            "stats": result.record["stats"],
             "corun": extra,
         }, indent=1))
     else:

@@ -17,6 +17,7 @@ the global clock); per-core SimStats and the
 from __future__ import annotations
 
 from ..parallel.cellkey import CellSpec
+from ..parallel.executor import cell_record
 from .engine import run_corun
 from .spec import CoRunSpec, parse_mix
 
@@ -65,21 +66,14 @@ def run_corun_cell(spec: CellSpec) -> dict:
         cycle_budget=spec.cycle_budget,
         crash_dir=spec.crash_dir,
     )
-    return {
-        "workload": spec.workload,
-        "mode": spec.mode,
-        "ipc": result.ipc,
-        "critical_pcs": [],
-        "stats": result.stats.to_dict(),
-        "extra": {
-            "corun": {
-                "mix": corun.label,
-                "per_core": [part.to_dict() for part in result.per_core],
-                "multicore": result.multicore.to_dict(),
-                "critical_pcs": [list(pcs) for pcs in result.critical_pcs],
-            }
-        },
-    }
+    return cell_record(spec, result.ipc, result.stats, extra={
+        "corun": {
+            "mix": corun.label,
+            "per_core": [part.to_dict() for part in result.per_core],
+            "multicore": result.multicore.to_dict(),
+            "critical_pcs": [list(pcs) for pcs in result.critical_pcs],
+        }
+    })
 
 
 def corun_extra(result) -> dict:

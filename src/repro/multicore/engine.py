@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from ..memory.shared import SharedMemory, SharedMemoryHierarchy
 from ..parallel.cellkey import CellSpec
-from ..parallel.executor import cell_annotation
+from ..parallel.executor import cell_annotation, cell_input
 from ..resilience.watchdog import cell_watchdog
 from ..sim.simulator import pipeline_class, resolve_mode
 from ..uarch.config import CoreConfig
@@ -85,9 +85,10 @@ def run_corun(
     ``config`` is the per-core configuration (every core gets the same
     base; per-core private prefetchers come from the task). Resilience
     knobs mirror :func:`~repro.sim.simulator.simulate`, applied per core.
+    Each core takes its annotation and input as a cell of its task would
+    (:func:`~repro.parallel.executor.cell_input`), so inside a cell group
+    cores that run one input share its build.
     """
-    from ..workloads import get_workload
-
     base = config if config is not None else CoreConfig.skylake()
     ncores = spec.ncores
     hcfg = base.hierarchy
@@ -108,12 +109,12 @@ def run_corun(
     pipes = []
     annotations: list[tuple[int, ...]] = []
     for idx, task in enumerate(spec.cores):
-        # The core's annotation is the one a cell of its task would run with.
-        critical = cell_annotation(CellSpec(
+        core = CellSpec(
             workload=task.workload, mode=task.mode, scale=scale,
-            critical_pcs=task.critical_pcs, crisp_config=task.crisp_config,
-            config=base, engine=engine,
-        ))
+            variant=task.variant, critical_pcs=task.critical_pcs,
+            crisp_config=task.crisp_config, config=base, engine=engine,
+        )
+        critical = cell_annotation(core)
         core_config, used, ibda = resolve_mode(task.mode, base, critical)
         if task.prefetchers is not None:
             core_config = replace(
@@ -128,9 +129,8 @@ def run_corun(
         context = {"workload": task.workload, "mode": task.mode,
                    "core": idx, "mix": spec.label}
         watchdog = cell_watchdog(cycle_budget, crash_dir, context)
-        workload = get_workload(task.workload, variant=task.variant, scale=scale)
         pipes.append(pipeline_class(engine)(
-            workload.trace(),
+            cell_input(core).trace(),
             core_config,
             critical_pcs=used,
             ibda=ibda,

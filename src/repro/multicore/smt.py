@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..parallel.cellkey import CellSpec
+from ..parallel.executor import cell_input, cell_record
 from ..uarch.stats import SimStats
 
 #: Display mode of an SMT cell (branched on before ``resolve_mode``).
@@ -81,13 +82,12 @@ def run_smt_cell(spec: CellSpec) -> dict:
     """Worker-side execution of an SMT cell (see executor.run_cell_spec)."""
     from ..resilience.watchdog import cell_watchdog
     from ..uarch.smt import SmtPipeline
-    from ..workloads import get_workload
 
     smt = spec.smt
     assert isinstance(smt, SmtCellSpec)
     traces = [
-        get_workload(name, variant=variant, scale=spec.scale).trace()
-        for name, variant in zip(smt.workloads, smt.variants)
+        cell_input(CellSpec(name, SMT_MODE, scale=spec.scale, variant=variant)).trace()
+        for name, variant in spec.inputs()
     ]
     critical = None
     if smt.critical_pcs is not None:
@@ -107,20 +107,13 @@ def run_smt_cell(spec: CellSpec) -> dict:
         cycles=stats.cycles,
         retired=sum(t.retired for t in stats.threads),
     )
-    return {
-        "workload": spec.workload,
-        "mode": spec.mode,
-        "ipc": stats.total_ipc,
-        "critical_pcs": [],
-        "stats": merged.to_dict(),
-        "extra": {
-            "smt": {
-                "cycles": stats.cycles,
-                "threads": [
-                    {"retired": t.retired, "cycles": t.cycles,
-                     "issued_critical": t.issued_critical}
-                    for t in stats.threads
-                ],
-            }
-        },
-    }
+    return cell_record(spec, stats.total_ipc, merged, extra={
+        "smt": {
+            "cycles": stats.cycles,
+            "threads": [
+                {"retired": t.retired, "cycles": t.cycles,
+                 "issued_critical": t.issued_critical}
+                for t in stats.threads
+            ],
+        }
+    })

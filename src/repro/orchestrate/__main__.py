@@ -4,8 +4,10 @@ The one way to run an experiment (docs/ORCHESTRATION.md): ``list``
 prints the experiment registry, ``run`` lowers one experiment's Target ×
 Instance selection to cells, executes them through the shared
 pool/cache/sampling stack, and writes a per-run result directory,
-``report`` re-renders a run directory's tables without simulating, and
-like ``run`` exits 1 when cells are failed or missing.
+``report`` re-renders a run directory's tables without simulating a
+cell (re-planning still runs a plan-time FDO flow, as in
+ablation_perfect_bp), and like ``run`` exits 1 when cells are failed or
+missing.
 
 Execution flags (docs/PARALLEL.md): ``--jobs``,
 ``--cache-dir``/``--no-cache``, ``--sample``, ``--engine``; ``run``
@@ -232,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     report_p = sub.add_parser(
-        "report", help="re-render a run directory's report without simulating"
+        "report", help="re-render a run directory's report without simulating "
+        "its cells (re-planning re-runs plan-time FDO flows)"
     )
     report_p.add_argument("--run-dir", default=None, metavar="DIR",
                           help="run directory to report")

@@ -203,6 +203,39 @@ def cell_path(run_dir: str | Path, key: str) -> Path:
     return Path(run_dir) / CELLS_DIR / f"{key}.json"
 
 
+def cell_file(result) -> dict:
+    """The JSON a run directory stores for one resolved
+    :class:`~repro.parallel.executor.CellResult`.
+
+    A done cell's ``ipc``, ``critical_pcs`` and ``stats`` are its record's,
+    copied as-is. A sampled parent keeps its estimate's brief; a co-run or
+    SMT cell its ``extra``, which resume and report re-render tables from.
+    """
+    payload = {
+        "status": result.status,
+        "attempts": result.attempts,
+        "cached": result.from_cache,
+        "workload": result.spec.workload,
+        "variant": result.spec.variant,
+        "mode": result.spec.mode,
+        "result_key": result.key,
+    }
+    if result.ok:
+        record = result.record
+        payload.update(ipc=record["ipc"], critical_pcs=record["critical_pcs"],
+                       stats=record["stats"])
+        if result.estimate is not None:
+            payload["sampled"] = result.estimate.brief()
+        elif result.extra:
+            payload["extra"] = result.extra
+    else:
+        payload["error"] = result.error
+        payload["error_type"] = result.error_type
+        if result.crash_bundle:
+            payload["crash_bundle"] = result.crash_bundle
+    return payload
+
+
 def store_cell(run_dir: str | Path, key: str, payload: dict) -> None:
     atomic_write_json(cell_path(run_dir, key), payload)
 

@@ -7,9 +7,12 @@ cells without a ``done`` result through
 retry policy, sample plan and engine, persist every resolved cell
 incrementally, and render the reports.
 :func:`report_run` re-renders reports from a finished (or partial) run
-directory without simulating anything — after re-verifying the run's
-recorded identity against the present code. A run directory is the one
-resume format: the job server's drain writes the same layout
+directory without simulating a cell — after re-verifying the run's
+recorded identity against the present code. That check re-plans the
+experiment, so one that pins annotations at plan time
+(ablation_perfect_bp, ablation_ratio, discussion_smt,
+discussion_division) runs those FDO flows again. A run directory is the
+one resume format: the job server's drain writes the same layout
 (docs/SERVE.md).
 """
 
@@ -21,16 +24,16 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..parallel.cellkey import CACHE_SCHEMA_VERSION
-from ..parallel.executor import STATUS_DONE, STATUS_FAILED, CellResult, run_cells
+from ..parallel.executor import STATUS_DONE, CellResult, run_cells
 from ..resilience.policy import RetryPolicy
 from ..sim.simulator import resolve_engine
-from ..uarch.stats import SimStats
 from .experiment import Experiment, PlannedCell, get_experiment
 from .report import aggregate_rows, aggregate_table
 from .rundir import (
     RunIdentityError,
     atomic_write_json,
     build_manifest,
+    cell_file,
     latest_run_dir,
     load_cells,
     load_manifest,
@@ -41,60 +44,14 @@ from .rundir import (
 )
 
 
-def _cell_payload(result: CellResult) -> dict:
-    """The JSON a run directory stores for one resolved cell."""
-    payload = {
-        "status": result.status,
-        "attempts": result.attempts,
-        "cached": result.from_cache,
-        "workload": result.spec.workload,
-        "variant": result.spec.variant,
-        "mode": result.spec.mode,
-        "result_key": result.key,
-    }
-    if result.ok:
-        stats = result.require_stats()
-        payload["ipc"] = result.ipc
-        payload["critical_pcs"] = list(result.critical_pcs)
-        payload["stats"] = stats.to_dict()
-        if result.estimate is not None:
-            payload["sampled"] = result.estimate.brief()
-        if result.extra:
-            # Composite cells (co-run / SMT) keep their per-core breakdown
-            # here, same as in the result cache — resume/report need it to
-            # re-render tables.
-            payload["extra"] = result.extra
-    else:
-        payload["error"] = result.error
-        payload["error_type"] = result.error_type
-        if result.crash_bundle:
-            payload["crash_bundle"] = result.crash_bundle
-    return payload
-
-
-def _result_from_payload(cell: PlannedCell, payload: dict) -> CellResult:
-    """Rehydrate a stored cell file into a CellResult."""
-    if payload.get("status") != STATUS_DONE:
-        return CellResult(
-            spec=cell.spec,
-            key=payload.get("result_key", cell.key),
-            status=STATUS_FAILED,
-            attempts=payload.get("attempts", 0),
-            error=payload.get("error"),
-            error_type=payload.get("error_type"),
-            crash_bundle=payload.get("crash_bundle"),
-        )
-    return CellResult(
-        spec=cell.spec,
-        key=payload.get("result_key", cell.key),
-        status=STATUS_DONE,
-        attempts=payload.get("attempts", 0),
-        from_cache=True,  # served from the run directory, not re-simulated
-        ipc=payload["ipc"],
-        stats=SimStats.from_dict(payload["stats"]),
-        critical_pcs=tuple(payload.get("critical_pcs", ())),
-        extra=payload.get("extra", {}),
-    )
+def _stored_result(cell: PlannedCell, stored: dict) -> CellResult:
+    """A run dir's cell file as a result (``from_cache``: not simulated)."""
+    key = stored.get("result_key", cell.key)
+    attempts = stored.get("attempts", 0)
+    if stored.get("status") == STATUS_DONE:
+        return CellResult.done(cell.spec, key, stored, attempts=attempts,
+                               from_cache=True)
+    return CellResult.failed(cell.spec, key, stored, attempts=attempts)
 
 
 def _table_json(table) -> dict:
@@ -222,7 +179,7 @@ def execute_run(
         payload = stored.get(key)
         if payload is not None and payload.get("status") == STATUS_DONE:
             for index in indices:
-                results[index] = _result_from_payload(plan[index], payload)
+                results[index] = _stored_result(plan[index], payload)
         else:
             pending.append(plan[indices[0]])
 
@@ -243,7 +200,7 @@ def execute_run(
 
         def persist(result: CellResult) -> None:
             key = planned[id(result.spec)]
-            store_cell(path, key, _cell_payload(result))
+            store_cell(path, key, cell_file(result))
             if on_cell is not None:
                 on_cell(key, result)
 
@@ -294,12 +251,13 @@ def recorded_experiment(manifest: dict) -> Experiment:
 
 
 def report_run(run_dir: str | Path) -> dict:
-    """Re-render reports from a run directory without simulating.
+    """Re-render reports from a run directory without simulating a cell.
 
     Verifies the stored identity first: a run recorded under a different
     cache-schema generation, or whose planned cell keys no longer match
     what the present code would produce, raises :class:`RunIdentityError`
-    instead of quietly mixing instances.
+    instead of quietly mixing instances. Re-planning runs an experiment's
+    plan-time FDO flows again (see the module docstring).
     """
     path = Path(run_dir)
     manifest = load_manifest(path)
@@ -330,7 +288,7 @@ def report_run(run_dir: str | Path) -> dict:
     for cell in plan:
         payload = stored.get(cell.key)
         results.append(
-            _result_from_payload(cell, payload) if payload is not None else None
+            _stored_result(cell, payload) if payload is not None else None
         )
     failed = _failed_rows(plan, results)
     return _render(path, manifest, experiment, plan, results, failed)[0]

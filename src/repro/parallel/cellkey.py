@@ -99,6 +99,15 @@ class CellSpec:
     def label(self) -> str:
         return f"{self.workload}/{self.mode}"
 
+    def inputs(self) -> tuple[tuple[str, str], ...]:
+        """The ``(workload, variant)`` inputs the cell reads at its scale:
+        its own, or one per co-run core or SMT thread."""
+        if self.corun is not None:
+            return tuple((core.workload, core.variant) for core in self.corun.cores)
+        if self.smt is not None:
+            return tuple(zip(self.smt.workloads, self.smt.variants))
+        return ((self.workload, self.variant),)
+
 
 def _annotation_entry(spec: CellSpec):
     """The key's annotation component (explicit PCs or the derivation recipe)."""

@@ -34,8 +34,10 @@ Execution path per cell:
    failure of every cell in every in-flight task: the pool is rebuilt and
    only the lost cells are re-enqueued — one dead worker no longer aborts
    the whole batch.
-4. Successful results are serialized (``SimStats.to_dict``) and stored back
-   into the cache atomically.
+4. A successful cell returns one record (:func:`cell_record`), its stats
+   encoded once in the process that ran it. The cache stores the record
+   as-is, a run dir copies its stats, and :class:`CellResult` reads it,
+   decoding the stats only when asked.
 
 Workers never let simulator exceptions cross the pickle boundary — some
 carry keyword-only constructor signatures that do not survive
@@ -50,7 +52,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ..resilience.errors import CellTimeout, SimulationError
 from ..resilience.policy import RetryPolicy
@@ -109,36 +112,75 @@ class PoolStats:
 
 @dataclass
 class CellResult:
-    """Outcome of one cell, cached or freshly simulated."""
+    """Outcome of one cell, cached or freshly simulated.
+
+    A done cell keeps its record (:func:`cell_record`) as its worker
+    returned it, or as the cache or a run dir stored it, and reads
+    ``ipc``, ``critical_pcs`` and ``extra`` from it. ``stats`` and a
+    sampled parent's ``estimate`` are decoded on first use, once.
+    """
 
     spec: CellSpec
     key: str
     status: str
     attempts: int = 0
     from_cache: bool = False
-    ipc: float | None = None
-    stats: SimStats | None = None
-    critical_pcs: tuple[int, ...] = ()
+    #: The cell's record; ``None`` for a failed cell.
+    record: dict | None = None
     error: str | None = None
     error_type: str | None = None
     crash_bundle: str | None = None
-    #: Structured side-channel (JSON-shaped, cached alongside the stats):
-    #: co-run cells put per-core SimStats and the MulticoreStats under
-    #: ``extra["corun"]``, SMT cells their per-thread rows under
-    #: ``extra["smt"]``, sampled cells their estimate under
-    #: ``extra["sampled"]``. Empty for ordinary cells.
-    extra: dict = field(default_factory=dict)
-    #: Set on sampled-run results (repro.sampling.cells): the
-    #: SampledEstimate the stats/ipc fields were assembled from.
-    estimate: object = None
+
+    @classmethod
+    def done(cls, spec, key, record, *, attempts, from_cache) -> "CellResult":
+        return cls(spec=spec, key=key, status=STATUS_DONE, attempts=attempts,
+                   from_cache=from_cache, record=record)
+
+    @classmethod
+    def failed(cls, spec, key, outcome, *, attempts) -> "CellResult":
+        """A failed cell from a failure outcome or a stored failed cell."""
+        return cls(spec=spec, key=key, status=STATUS_FAILED, attempts=attempts,
+                   error=outcome.get("error"), error_type=outcome.get("error_type"),
+                   crash_bundle=outcome.get("crash_bundle"))
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_DONE
 
+    @property
+    def ipc(self) -> float | None:
+        return None if self.record is None else self.record["ipc"]
+
+    @property
+    def critical_pcs(self) -> tuple[int, ...]:
+        return () if self.record is None else tuple(self.record["critical_pcs"])
+
+    @property
+    def extra(self) -> dict:
+        """Structured side-channel: co-run cells put per-core SimStats and
+        the MulticoreStats under ``extra["corun"]``, SMT cells their
+        per-thread rows under ``extra["smt"]``, sampled parents their
+        estimate under ``extra["sampled"]``. Empty for ordinary cells."""
+        return {} if self.record is None else self.record.get("extra", {})
+
+    @cached_property
+    def stats(self) -> SimStats | None:
+        return None if self.record is None else SimStats.from_dict(self.record["stats"])
+
+    @cached_property
+    def estimate(self):
+        """A sampled parent's :class:`~repro.sampling.estimate.SampledEstimate`,
+        which its ``stats`` and ``ipc`` come from; ``None`` otherwise."""
+        sampled = self.extra.get("sampled")
+        if sampled is None:
+            return None
+        from ..sampling.estimate import SampledEstimate
+
+        return SampledEstimate.from_dict(sampled)
+
     def require_stats(self) -> SimStats:
         """Stats of a successful cell; raises on a failed one."""
-        if not self.ok or self.stats is None:
+        if not self.ok:
             raise RuntimeError(
                 f"cell {self.spec.label()} failed "
                 f"[{self.error_type or '?'}]: {self.error or 'no result'}"
@@ -149,9 +191,9 @@ class CellResult:
         """The compact per-cell row a serve ``wait`` response carries."""
         row = {"status": self.status, "attempts": self.attempts, "key": self.key}
         if self.ok:
-            stats = self.require_stats()
+            stats = self.record["stats"]
             row.update(
-                ipc=self.ipc, cycles=stats.cycles, retired=stats.retired,
+                ipc=self.ipc, cycles=stats["cycles"], retired=stats["retired"],
                 cached=self.from_cache,
             )
             if self.estimate is not None:
@@ -171,7 +213,12 @@ _GROUP_INPUTS: ContextVar[dict | None] = ContextVar("group_inputs", default=None
 
 
 def _input_key(spec: CellSpec) -> tuple:
-    return (spec.workload, spec.variant, spec.scale)
+    """The cell's first input (:meth:`~repro.parallel.cellkey.CellSpec.inputs`)
+    at its scale: what :func:`cell_input` builds and :func:`_groups`
+    groups by, so a co-run or SMT cell joins the group of its first core
+    or thread."""
+    workload, variant = spec.inputs()[0]
+    return (workload, variant, spec.scale)
 
 
 def _runs_fdo(spec: CellSpec) -> bool:
@@ -195,6 +242,8 @@ def cell_input(spec: CellSpec):
     Inside a group (:func:`_shared_inputs`) the first cell that asks builds
     it and later cells get the same object, with its memoized trace and
     the array engine's decode tables; outside one, every call builds.
+    Co-run cores and SMT threads ask with a spec of their own input, so
+    they share it with each other and with the rest of the group.
     """
     from ..workloads import get_workload
 
@@ -202,10 +251,27 @@ def cell_input(spec: CellSpec):
     key = _input_key(spec)
     if inputs is not None and key in inputs:
         return inputs[key]
-    workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
+    workload = get_workload(*key)
     if inputs is not None:
         inputs[key] = workload
     return workload
+
+
+def cell_record(spec: CellSpec, ipc: float, stats: SimStats,
+                critical_pcs=(), extra: dict | None = None) -> dict:
+    """The record a cell returns: the JSON the cache stores as-is and a
+    :class:`CellResult` reads. ``stats`` is encoded here, in the process
+    that ran the cell, and nowhere else."""
+    record = {
+        "workload": spec.workload,
+        "mode": spec.mode,
+        "ipc": ipc,
+        "critical_pcs": sorted(critical_pcs),
+        "stats": stats.to_dict(),
+    }
+    if extra:
+        record["extra"] = extra
+    return record
 
 
 def cell_annotation(spec: CellSpec) -> frozenset[int]:
@@ -237,7 +303,7 @@ def cell_annotation(spec: CellSpec) -> frozenset[int]:
 
 
 def run_cell_spec(spec: CellSpec) -> dict:
-    """Simulate one cell and return its serialized result payload.
+    """Simulate one cell and return its record (:func:`cell_record`).
 
     Runs identically in-process and inside a pool worker: the input comes
     from :func:`cell_input` (built by name, or shared with earlier cells of
@@ -288,19 +354,13 @@ def run_cell_spec(spec: CellSpec) -> dict:
         watchdog=watchdog,
         engine=spec.engine,
     )
-    return {
-        "workload": spec.workload,
-        "mode": spec.mode,
-        "ipc": result.ipc,
-        "critical_pcs": sorted(critical),
-        "stats": result.stats.to_dict(),
-    }
+    return cell_record(spec, result.ipc, result.stats, critical)
 
 
 def _pool_run_cell(spec: CellSpec) -> dict:
     """Worker entry point: run one cell, return a tagged outcome dict."""
     try:
-        return {"ok": True, "payload": run_cell_spec(spec)}
+        return {"ok": True, "record": run_cell_spec(spec)}
     except (CellTimeout, OSError) as exc:
         return {"ok": False, "transient": True,
                 "error": str(exc), "error_type": type(exc).__name__}
@@ -319,32 +379,6 @@ def _pool_run_group(specs: list[CellSpec]) -> list[dict]:
 
 
 # -- driver side ---------------------------------------------------------------
-
-
-def _result_from_payload(spec, key, payload, *, attempts, from_cache) -> CellResult:
-    return CellResult(
-        spec=spec,
-        key=key,
-        status=STATUS_DONE,
-        attempts=attempts,
-        from_cache=from_cache,
-        ipc=payload["ipc"],
-        stats=SimStats.from_dict(payload["stats"]),
-        critical_pcs=tuple(payload.get("critical_pcs", ())),
-        extra=payload.get("extra", {}),
-    )
-
-
-def _result_from_failure(spec, key, outcome, *, attempts) -> CellResult:
-    return CellResult(
-        spec=spec,
-        key=key,
-        status=STATUS_FAILED,
-        attempts=attempts,
-        error=outcome.get("error"),
-        error_type=outcome.get("error_type"),
-        crash_bundle=outcome.get("crash_bundle"),
-    )
 
 
 @dataclass
@@ -415,17 +449,9 @@ def run_cells(
         if result.status == STATUS_FAILED:
             stats.hard_failures += 1
         if result.ok and cache is not None and not result.from_cache:
-            payload = {
-                "workload": result.spec.workload,
-                "mode": result.spec.mode,
-                "ipc": result.ipc,
-                "critical_pcs": list(result.critical_pcs),
-                "stats": result.require_stats().to_dict(),
-            }
-            if result.extra:
-                payload["extra"] = result.extra
-            cache.put(result.key, payload)
-        result = _under_spec(result, specs[index])
+            cache.put(result.key, result.record)
+        # Under the caller's spec, not the engine-stamped or sampled one.
+        result.spec = specs[index]
         results[index] = result
         if on_result is not None:
             on_result(result)
@@ -433,11 +459,11 @@ def run_cells(
     for index, spec in enumerate(cells):
         key = cell_key(spec)
         if cache is not None:
-            payload = cache.get(key)
-            if payload is not None:
+            record = cache.get(key)
+            if record is not None:
                 stats.cells_cached += 1
-                resolve(index, _result_from_payload(
-                    spec, key, payload, attempts=0, from_cache=True))
+                resolve(index, CellResult.done(
+                    spec, key, record, attempts=0, from_cache=True))
                 continue
         pending.append(_Pending(index, spec, key))
 
@@ -454,29 +480,12 @@ def run_cells(
     return results  # type: ignore[return-value]
 
 
-def _under_spec(result: CellResult, spec: CellSpec) -> CellResult:
-    """``result`` under its caller's ``spec`` (before an engine stamp or
-    sample token); a sampled parent's estimate rebuilt from its payload."""
-    sampled = result.extra.get("sampled")
-    if sampled is None:
-        return result if result.spec is spec else replace(result, spec=spec)
-    from ..sampling.estimate import SampledEstimate
-
-    return replace(result, spec=spec, extra={},
-                   estimate=SampledEstimate.from_dict(sampled))
-
-
 def _groups(pending: list[_Pending]) -> list[list[_Pending]]:
-    """Pending cells by input, groups and cells in input order.
-
-    Co-run and SMT cells build their own inputs and stay alone.
-    """
+    """Pending cells by input (:func:`_input_key`), groups and cells in
+    input order."""
     groups: dict = {}
     for item in pending:
-        spec = item.spec
-        composite = spec.corun is not None or spec.smt is not None
-        key = ("alone", item.index) if composite else _input_key(spec)
-        groups.setdefault(key, []).append(item)
+        groups.setdefault(_input_key(item.spec), []).append(item)
     return list(groups.values())
 
 
@@ -518,8 +527,8 @@ def _run_serial(item: _Pending, policy: RetryPolicy, stats, resolve) -> None:
         stats.cells_executed += 1
         outcome = _pool_run_cell(item.spec)
         if outcome["ok"]:
-            resolve(item.index, _result_from_payload(
-                item.spec, item.key, outcome["payload"],
+            resolve(item.index, CellResult.done(
+                item.spec, item.key, outcome["record"],
                 attempts=item.attempts, from_cache=False))
             return
         _record_attempt_failure(outcome, stats)
@@ -529,7 +538,7 @@ def _run_serial(item: _Pending, policy: RetryPolicy, stats, resolve) -> None:
         delay = policy.delay(item.attempts, item.key)
         if delay:
             time.sleep(delay)
-    resolve(item.index, _result_from_failure(
+    resolve(item.index, CellResult.failed(
         item.spec, item.key, outcome, attempts=item.attempts))
 
 
@@ -569,7 +578,7 @@ def _run_pooled(tasks, jobs, policy: RetryPolicy, stats, resolve) -> None:
             delay = policy.delay(item.attempts, item.key)
             deferred.append((time.monotonic() + delay, item))
         else:
-            resolve(item.index, _result_from_failure(
+            resolve(item.index, CellResult.failed(
                 item.spec, item.key, outcome, attempts=item.attempts))
 
     try:
@@ -613,8 +622,8 @@ def _run_pooled(tasks, jobs, policy: RetryPolicy, stats, resolve) -> None:
                     break
                 for item, outcome in zip(task, outcomes):
                     if outcome["ok"]:
-                        resolve(item.index, _result_from_payload(
-                            item.spec, item.key, outcome["payload"],
+                        resolve(item.index, CellResult.done(
+                            item.spec, item.key, outcome["record"],
                             attempts=item.attempts, from_cache=False))
                         continue
                     _record_attempt_failure(outcome, stats)

@@ -10,7 +10,7 @@ flow once, builds and traces the input once (:func:`expand_spec`), and
 calls :func:`~repro.sampling.sampler.simulate_sampled`: one functional warmer
 walked forward through the trace, each detailed interval started from a
 copy of its state. The :class:`~repro.sampling.estimate.SampledEstimate`
-travels in the cell payload, so a warm re-run answers each parent with one
+travels in the cell record, so a warm re-run answers each parent with one
 cache read, and parents get the pool's crash and retry supervision like
 any other cell. Pooled execution is bit-identical to serial — guarded by
 ``tests/parallel/test_sampled_cells.py``.
@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..parallel.cellkey import CellSpec
-from ..parallel.executor import CellResult, cell_annotation, cell_input, run_cells
+from ..parallel.executor import (
+    CellResult, cell_annotation, cell_input, cell_record, run_cells)
 from .intervals import SamplingPlan, parse_sample
 from .sampler import simulate_sampled
 
@@ -59,14 +60,8 @@ def run_sampled_cell(spec: CellSpec, watchdog=None) -> dict:
         watchdog=watchdog,
         engine=spec.engine,
     )
-    return {
-        "workload": spec.workload,
-        "mode": spec.mode,
-        "ipc": estimate.ipc,
-        "critical_pcs": sorted(critical),
-        "stats": estimate.extrapolated.to_dict(),
-        "extra": {"sampled": estimate.to_dict()},
-    }
+    return cell_record(spec, estimate.ipc, estimate.extrapolated, critical,
+                       extra={"sampled": estimate.to_dict()})
 
 
 def sampled_parents(specs: list[CellSpec], sample: str) -> list[CellSpec]:

@@ -98,7 +98,7 @@ class SampledEstimate:
         }
 
     def to_dict(self) -> dict:
-        """Every field, JSON-safe (a sampled cell's cached payload)."""
+        """Every field, JSON-safe (a sampled parent's ``extra["sampled"]``)."""
         data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         data["stats"] = self.stats.to_dict()
         data["extrapolated"] = self.extrapolated.to_dict()

@@ -44,12 +44,7 @@ from pathlib import Path
 from ..parallel.cache import ResultCache
 from ..parallel.cellkey import CellSpec, cell_key
 from ..parallel import executor as _executor
-from ..parallel.executor import (
-    PoolStats,
-    _crash_outcome,
-    _result_from_failure,
-    _result_from_payload,
-)
+from ..parallel.executor import CellResult, PoolStats, _crash_outcome
 from ..resilience.policy import RetryPolicy
 from . import protocol
 from .jobs import Job
@@ -303,11 +298,11 @@ class SimServer:
     async def _execute(self, execution: _Execution) -> None:
         spec, key = execution.spec, execution.key
         if self.cache is not None:
-            payload = self.cache.get(key)  # corrupt entries degrade to miss
-            if payload is not None:
+            record = self.cache.get(key)  # corrupt entries degrade to miss
+            if record is not None:
                 self.pool_stats.cells_cached += 1
-                self._resolve(execution, _result_from_payload(
-                    spec, key, payload, attempts=0, from_cache=True))
+                self._resolve(execution, CellResult.done(
+                    spec, key, record, attempts=0, from_cache=True))
                 return
         loop = asyncio.get_running_loop()
         while True:
@@ -344,12 +339,11 @@ class SimServer:
                 execution.started = None
             if outcome["ok"]:
                 self._note_duration(time.monotonic() - execution.created)
-                result = _result_from_payload(
-                    spec, key, outcome["payload"],
-                    attempts=execution.attempts, from_cache=False)
                 if self.cache is not None:
-                    self.cache.put(key, dict(outcome["payload"]))
-                self._resolve(execution, result)
+                    self.cache.put(key, outcome["record"])
+                self._resolve(execution, CellResult.done(
+                    spec, key, outcome["record"],
+                    attempts=execution.attempts, from_cache=False))
                 return
             if outcome.get("error_type") == "CellTimeout":
                 self.pool_stats.timeouts += 1
@@ -369,7 +363,7 @@ class SimServer:
                     f"cell spent {elapsed:.1f}s failing transiently "
                     f"(deadline {self.policy.deadline}s): {outcome['error']}")
             self.pool_stats.hard_failures += 1
-            self._resolve(execution, _result_from_failure(
+            self._resolve(execution, CellResult.failed(
                 spec, key, outcome, attempts=execution.attempts))
             return
 
@@ -478,8 +472,7 @@ class SimServer:
         if job.experiment is None:
             return None
         from ..orchestrate.rundir import (
-            atomic_write_json, build_manifest, manifest_path, store_cell)
-        from ..orchestrate.runs import _cell_payload
+            atomic_write_json, build_manifest, cell_file, manifest_path, store_cell)
 
         path = Path(self.drain_dir) / job.id
         manifest = build_manifest(
@@ -490,7 +483,7 @@ class SimServer:
         atomic_write_json(manifest_path(path), manifest)
         for key, result in zip(job.keys, job.results):
             if result is not None:
-                store_cell(path, key, _cell_payload(result))
+                store_cell(path, key, cell_file(result))
         return str(path)
 
     # -- transport ------------------------------------------------------------

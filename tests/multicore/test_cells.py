@@ -83,19 +83,15 @@ def test_sampling_passes_composite_cells_through(tmp_path):
 
 def test_run_dir_persists_the_corun_extra(tmp_path):
     """Resume/report rehydrate composite cells with their per-core payload."""
-    from repro.orchestrate.runs import _cell_payload, _result_from_payload
+    from repro.orchestrate.rundir import cell_file
+    from repro.parallel.executor import CellResult
 
     spec = corun_cell(pair(), scale=SCALE)
     [result] = run_cells([spec])
-    payload = _cell_payload(result)
+    payload = cell_file(result)
     assert payload["extra"] == result.extra
 
-    class FakePlanned:
-        pass
-
-    planned = FakePlanned()
-    planned.spec = spec
-    planned.key = payload["result_key"]
-    restored = _result_from_payload(planned, payload)
+    restored = CellResult.done(spec, payload["result_key"], payload,
+                               attempts=payload["attempts"], from_cache=True)
     assert restored.extra == result.extra
     assert corun_extra(restored)["multicore"]["ncores"] == 2
