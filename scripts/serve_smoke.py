@@ -3,7 +3,9 @@
 
 Starts ``python -m repro.serve`` as a real subprocess on a UNIX socket,
 submits one cell through the client, asserts the result arrives with a
-plausible IPC, then delivers SIGTERM with a bulk sweep still in flight
+plausible IPC, submits one co-run cell and asserts the server's cycles
+and retired count equal what ``run_cells`` gives for that cell in this
+process, then delivers SIGTERM with a bulk sweep still in flight
 and asserts the server drains gracefully: exit code 0 and a "drained"
 farewell on stdout. When the drain cut the sweep short, its run dir must
 be a partial orchestrate run that ``python -m repro.orchestrate run
@@ -30,6 +32,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.serve.client import ServeClient  # noqa: E402
+
+#: A served co-run cell whose two img_dnn cores share one input build.
+CORUN = {"corun": "pointer_chase+img_dnn+img_dnn", "scale": 0.1}
 
 
 def wait_for(predicate, *, timeout: float, what: str):
@@ -66,6 +71,16 @@ def resume_drained(run_dir: pathlib.Path, workdir: pathlib.Path, env,
     assert len(stored) == cells, sorted(stored)
     assert all(cell["status"] == "done" for cell in stored.values()), stored
     print(f"drained sweep resumed: {cells}/{cells} cells done")
+
+
+def corun_reference() -> tuple[int, int]:
+    """Cycles and retired count of :data:`CORUN` from ``run_cells``."""
+    from repro.multicore import corun_cell
+    from repro.parallel import run_cells
+
+    [result] = run_cells([corun_cell(CORUN["corun"], scale=CORUN["scale"])])
+    stats = result.require_stats()
+    return stats.cycles, stats.retired
 
 
 def main() -> int:
@@ -106,6 +121,15 @@ def main() -> int:
             (row,) = done["results"]
             assert row["status"] == "done" and row["ipc"] > 0, row
             print(f"cell ok: ipc={row['ipc']:.4f}")
+
+            job = client.submit([CORUN])
+            done = client.wait(job["job"], timeout=120)
+            assert done["state"] == "done", done
+            (row,) = done["results"]
+            assert row["status"] == "done", row
+            expected = corun_reference()
+            assert (row["cycles"], row["retired"]) == expected, (row, expected)
+            print(f"co-run cell ok: cycles={row['cycles']} retired={row['retired']}")
 
             # A bulk sweep left in flight for the drain to checkpoint.
             sweep = client.sweep(

@@ -228,7 +228,11 @@ def _runs_fdo(spec: CellSpec) -> bool:
 
 @contextmanager
 def _shared_inputs():
-    """Let the cells run inside the block share their built inputs."""
+    """Let the cells run inside the block share their built inputs; a
+    block opened inside another shares the outer block's."""
+    if _GROUP_INPUTS.get() is not None:
+        yield
+        return
     token = _GROUP_INPUTS.set({})
     try:
         yield
@@ -358,9 +362,15 @@ def run_cell_spec(spec: CellSpec) -> dict:
 
 
 def _pool_run_cell(spec: CellSpec) -> dict:
-    """Worker entry point: run one cell, return a tagged outcome dict."""
+    """Worker entry point: run one cell, return a tagged outcome dict.
+
+    A cell run outside a group, as the job server runs each cell, is a
+    group of its own: co-run cores or SMT threads that run one input
+    build it once.
+    """
     try:
-        return {"ok": True, "record": run_cell_spec(spec)}
+        with _shared_inputs():
+            return {"ok": True, "record": run_cell_spec(spec)}
     except (CellTimeout, OSError) as exc:
         return {"ok": False, "transient": True,
                 "error": str(exc), "error_type": type(exc).__name__}

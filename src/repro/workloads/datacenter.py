@@ -165,15 +165,16 @@ def build_memcached(variant: str = "ref", scale: float = 1.0) -> Workload:
     # (< 2^14), value words 0 and 1 (< 2^12 each). Every bound is a power
     # of two, and randrange(2^m) takes the first 32-bit word whose top bit
     # is clear and returns the m bits below it -- so one stream of such
-    # words (random_words below 2^31) serves all four fields in turn.
+    # words (random_words below 2^31) serves all four fields in turn. Each
+    # field is one region strided by the node size.
     draws = random_words(rng, 4 * node_slots, 0, 1 << 31)
-    nodes: dict[int, int] = {}
+    memory = MemoryImage()
     for field, bits in enumerate((15, 14, 12, 12)):
-        words = range(
-            (HEAP >> 3) + field, (HEAP + node_slots * node_stride) >> 3, node_stride >> 3
+        memory.fill(
+            (HEAP >> 3) + field,
+            (d >> (31 - bits) for d in draws[field::4]),
+            stride=node_stride >> 3,
         )
-        nodes.update(zip(words, (d >> (31 - bits) for d in draws[field::4])))
-    memory = MemoryImage(nodes)
     build_array(memory, base=TABLE, values=random_words(rng, num_buckets, 0, node_slots))
     out_base = 0x6000_0000
     build_array(memory, base=out_base, values=range(1, 17))

@@ -12,6 +12,7 @@ from repro.orchestrate import execute_run
 from repro.orchestrate.experiment import SuiteMatrix
 from repro.orchestrate.rundir import load_cells
 from repro.parallel import ResultCache, run_cells
+from repro.parallel.executor import _pool_run_cell
 from repro.uarch.stats import SimStats
 from repro.workloads import base
 
@@ -78,4 +79,15 @@ def test_corun_cores_share_an_input(monkeypatch):
     [result] = run_cells([corun_cell("pointer_chase+img_dnn+img_dnn", scale=0.1)])
     assert builds == {("pointer_chase", "ref"): 1, ("img_dnn", "ref"): 1}
     assert result.stats.digest() == (
+        "a8580360d5919019952b4acc796f282e9c5aeaeafb7e3a77d51ba57b8a030415")
+
+
+def test_an_ungrouped_corun_cell_shares_an_input(monkeypatch):
+    """The job server runs each cell through the worker entry point outside
+    any group; its co-run cores still share an input's build."""
+    builds = _count_builds(monkeypatch)
+    outcome = _pool_run_cell(corun_cell("pointer_chase+img_dnn+img_dnn", scale=0.1))
+    assert outcome["ok"], outcome
+    assert builds == {("pointer_chase", "ref"): 1, ("img_dnn", "ref"): 1}
+    assert SimStats.from_dict(outcome["record"]["stats"]).digest() == (
         "a8580360d5919019952b4acc796f282e9c5aeaeafb7e3a77d51ba57b8a030415")

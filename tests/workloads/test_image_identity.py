@@ -4,9 +4,10 @@
 reads (well under 1% of an image at scale 0.1). This test pins every
 word of every registered workload's initial image: the sha256 of the
 image's (word, value) pairs, sorted by word and packed as little-endian
-int64, for each variant at scale 0.1. A builder change that moves,
-drops or re-values any word -- or draws its random words in a different
-order -- fails here even if no simulated result changes.
+int64, for each variant at scales 0.1 and 1.0. A builder change that
+moves, drops or re-values any word -- or draws its random words in a
+different order -- fails here even if no simulated result changes, and
+so does a change to how :class:`~repro.isa.MemoryImage` holds its words.
 """
 
 import hashlib
@@ -77,6 +78,65 @@ IMAGE_SHA256 = {
 }
 
 
+#: The same digests at scale 1.0, where most inputs hold more nodes or rows.
+IMAGE_SHA256_SCALE_1 = {
+    ("bwaves", "ref"): "c796e4edc33f3b79613c81daa44c2a494b638eadf2212d4c7b16d5e3ca2075ac",
+    ("bwaves", "train"): "d3925aeff300730e32d75ab1c7a7f44ef179b5147260253b66ced50806b4c4b6",
+    ("bwaves", "ref#3"): "9d2c5974ab126154c1b8da10ec890afa81ed10f3eadc0348c0f2bb40c2c141f3",
+    ("cactus", "ref"): "4066bba8b65c4d718534fb46246646675f2d5aff545d7dd514ab08c7999fbb18",
+    ("cactus", "train"): "e2e5044435667563e3159860310782575aa87b4128833f7775647b0d1f495b70",
+    ("cactus", "ref#3"): "24fbef2c70d5e6c1fe8797fce7b21df921a35a93bd409c1bbae4ddcd00862609",
+    ("deepsjeng", "ref"): "cc2987fc5460287722d95a0f9617902357084ed5f18edc5cb96d1dd996ef6052",
+    ("deepsjeng", "train"): "ddcb6de143072bef9640bc0a0dd9f71a815d26dbe6441841f37caf902ea8ae09",
+    ("deepsjeng", "ref#3"): "d8bc4ebaccaa947ebe6527fee71eb05cf92fd1934714a4003a04c4a20c28a51b",
+    ("div_chain", "ref"): "1fa366ed2ab46bd9aef66fd9ecb4499c01cd44ae9fcd7654a7f3614f63c03b43",
+    ("div_chain", "train"): "1fa366ed2ab46bd9aef66fd9ecb4499c01cd44ae9fcd7654a7f3614f63c03b43",
+    ("div_chain", "ref#3"): "1fa366ed2ab46bd9aef66fd9ecb4499c01cd44ae9fcd7654a7f3614f63c03b43",
+    ("fotonik", "ref"): "eb05f8e5caaa31a2c5f79f579765392da8c4d0f7d96c7f3d02fa5e8937ca548a",
+    ("fotonik", "train"): "3614789c5d1a441476b31364aa12577133ae217beb68cfa566819d58d9e2d114",
+    ("fotonik", "ref#3"): "9be27512764648eb99d7c50e46067fd471a642b78cb70a803c4bac59c794c591",
+    ("gcc", "ref"): "7ad6b0bfd938bc3f0f1922988e9e16c1e2fce64fea120b4a86b4ef9c405a55f7",
+    ("gcc", "train"): "6e3f75a34377e76b4f23cc2aff102c1da7ac01166bf6c6c2e5ccc472575a357d",
+    ("gcc", "ref#3"): "89b5fab8108a624267a3ff56bed385a57446cec20020be786a3ed27b102fe176",
+    ("img_dnn", "ref"): "023170309babc94b35fcbe0af0e355467641abc821b8df954ef406f86a679201",
+    ("img_dnn", "train"): "174b084c72e73b9bc1acfaf26140654e117e54d65275de967a95c454eaca240f",
+    ("img_dnn", "ref#3"): "4f4cdd3cadc3e04a53e241772c1b8083617f9e3cb71013fbf749d705fd18950d",
+    ("lbm", "ref"): "016aabd712804b3b3faea609a21793d39e8300420527549004e021443b3922b6",
+    ("lbm", "train"): "6f4299e4f824f9ecb32b26667f455a742ae1d908e082d9ff748906034785cde0",
+    ("lbm", "ref#3"): "8c1671805b79b7257bcce61bfb73255859d17902b94671a2bbc41e000fce3700",
+    ("mcf", "ref"): "c54be2cf661f8a2f4dc109cac554f8857df580f0630c26bcde44bc0a086d6c07",
+    ("mcf", "train"): "c6d8ea922a39ff4e9eb6588d1b1b5bc6612fc40f9b252e60be8fba3186d5cdab",
+    ("mcf", "ref#3"): "6079d6673cae2ab9764b0e85b8b61ece531cdb8e51b47d9f915fd4ba0963e294",
+    ("memcached", "ref"): "171f0b847367964c7688e87184d27845477d9e67ccfa2bd1d8fe5a6f9eed97d2",
+    ("memcached", "train"): "8bf4d8db42481a812b25f062fb889f26add3b04123fbdc0449aacc4c0ce06a3e",
+    ("memcached", "ref#3"): "9bbb1678b2f73938182bda055a3962f56b5ad62c53c04b238b2f066923d45531",
+    ("moses", "ref"): "3a65202e4ddb9850944a8c379298a9d066edcf2a0813df2d49accb6c5f7fdbef",
+    ("moses", "train"): "d5b13519a5789ba0365913c2ecf08e35c62c894c7be62d06ae38907e1a3fa866",
+    ("moses", "ref#3"): "c512529362aa4a62177a3d851782a13eb84f8d45c0f1cf291a0577e6d6316445",
+    ("nab", "ref"): "de4ccb089bcc9b6f01e2457d8006f78f991e3f9e835e4d4b9bd81271dfec3c4d",
+    ("nab", "train"): "a0926a81a391b92d441923eaf0348e85102c3ec605aee39e79bea62cbcc04206",
+    ("nab", "ref#3"): "c5c309018d3a2ba9d4f24c0b4efc6083c17b5524b74c1852242e1e24501f7cc0",
+    ("namd", "ref"): "8e1991e6811cdacca31668d4ead6988b1b0ef5fcd79ab5f2abd0cb0d3aab01cf",
+    ("namd", "train"): "db40261e76e96eab2516c6bb73a6895e166f51cf5c5c8eb4fa05b26a08b02e37",
+    ("namd", "ref#3"): "9e88815cfbdd34b04c8d86bc30e66dda97ec9f7c514fcba4a228123100a9b630",
+    ("omnetpp", "ref"): "59b4c88320ee36b651775687a4003b806c3ac04036bc9662a9515f1a8b5bd84b",
+    ("omnetpp", "train"): "24d76dc7299d66cca0638c147e08cf79d1c28a866abeb2d0024876b8452415e0",
+    ("omnetpp", "ref#3"): "cbf2cbb616c79a4a798847444e03f67f5a7515ac4578755b47269a51be19d18e",
+    ("perlbench", "ref"): "bb19f14d48e0eb725b44dfd1c862f694640691a0ce123d8019a09b7ce8caf90e",
+    ("perlbench", "train"): "a8a780ca57b4ca5f49b6df80f9f237d4411bbc026b4100530fab07b2478c207a",
+    ("perlbench", "ref#3"): "6c981be36d3f107cd7499a6cd78e6b27fc833db2044a9b9fcb282dbb939a2e33",
+    ("pointer_chase", "ref"): "a3422d97b24b8b39ae4929ded920bfbd84a5f6e867a92724c305ec468ab4d225",
+    ("pointer_chase", "train"): "ae90ee32853a7d7dc534759f152804ab9aaf2f1df11d19a088d830aa8dbcd839",
+    ("pointer_chase", "ref#3"): "b3a5ee0d2003d67c1a662564f463ea67b928077def9743632f9643c84d4bec8e",
+    ("xhpcg", "ref"): "60e2f78c3da2d2cb391418b1deeaaedb2aa23924a21ef7d48fdbd8f360eb945d",
+    ("xhpcg", "train"): "7e33c04e872189547999d32946a08a6d00f958c120fdf7b644f210fe4e86dac4",
+    ("xhpcg", "ref#3"): "fa259db9a52437b4150509049efd8a7c4192f489042bdaf8d5f3f138c0084ce8",
+    ("xz", "ref"): "7e83fffa398e44c2d5e3aae53d8481d0f93ab59ca51f4eb855c195daa9f8c77b",
+    ("xz", "train"): "6b180cb3eab6618ae9abc000e97840f097e4116b2cc593e2121a7efd5b7dd226",
+    ("xz", "ref#3"): "3022fbbdec85abccde84c55a03389f36b1fa3a0a37227046daf9fa93e09c6ca7",
+}
+
+
 def image_digest(memory) -> str:
     """sha256 of ``memory``'s (word, value) pairs sorted by word, as LE int64."""
     flat = np.fromiter(
@@ -90,6 +150,7 @@ def image_digest(memory) -> str:
 def test_every_registered_workload_is_pinned():
     pinned = {name for name, _ in IMAGE_SHA256}
     assert pinned == set(REGISTRY.names())
+    assert IMAGE_SHA256_SCALE_1.keys() == IMAGE_SHA256.keys()
 
 
 @pytest.mark.parametrize("name", REGISTRY.names())
@@ -97,3 +158,10 @@ def test_image_matches_pinned_digest(name):
     for variant in ("ref", "train", "ref#3"):
         memory = REGISTRY.build(name, variant=variant, scale=SCALE).memory
         assert image_digest(memory) == IMAGE_SHA256[name, variant], (name, variant)
+
+
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_image_at_scale_1_matches_pinned_digest(name):
+    for variant in ("ref", "train", "ref#3"):
+        memory = REGISTRY.build(name, variant=variant, scale=1.0).memory
+        assert image_digest(memory) == IMAGE_SHA256_SCALE_1[name, variant], (name, variant)
