@@ -46,7 +46,9 @@ round-tripping — they return a tagged failure dict instead.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -558,6 +560,22 @@ def _crash_outcome() -> dict:
             "error": "worker process died mid-cell (pool broken)"}
 
 
+def _preload_numpy() -> None:
+    """Import numpy in the driver, so forked pool workers inherit it.
+
+    Every input build imports numpy (``workloads.kernels.random_words``).
+    A fresh pool's workers would each pay that import again: about 0.2 s
+    of CPU, half of it in OpenBLAS's spinning helper thread, and 4-5 MiB
+    of RSS per worker. Only the ``fork`` start method passes the import
+    on, and the CLI and the job server still start without numpy
+    (``tests/test_startup.py``). Python 3.12 and later warn when a process
+    with several threads forks, and OpenBLAS starts a thread at import,
+    so there the driver skips the import and each worker pays it as before.
+    """
+    if sys.version_info < (3, 12) and multiprocessing.get_start_method() == "fork":
+        import numpy  # noqa: F401
+
+
 def _run_pooled(tasks, jobs, policy: RetryPolicy, stats, resolve) -> None:
     """Pool driver with crash supervision and deterministic backoff.
 
@@ -570,6 +588,7 @@ def _run_pooled(tasks, jobs, policy: RetryPolicy, stats, resolve) -> None:
     transient failure — or recorded as failed when its budget is spent.
     Configuration errors (``ValueError``) still propagate and abort the run.
     """
+    _preload_numpy()
     pool = ProcessPoolExecutor(max_workers=jobs)
     futures: dict = {}
     deferred: list[tuple[float, _Pending]] = []

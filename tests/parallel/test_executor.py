@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -41,6 +45,30 @@ def test_subprocess_worker_matches_in_process_run():
         assert p.stats == s.stats
         assert p.ipc == s.ipc
         assert p.critical_pcs == s.critical_pcs
+
+
+def test_pool_workers_inherit_the_drivers_numpy():
+    """A pooled run imports numpy in the driver before it forks the pool,
+    so the workers' builds find it loaded (a fresh interpreter, since this
+    one imported numpy long ago). Python 3.12+ skips the import: forking
+    a process that runs OpenBLAS's thread warns there."""
+    code = (
+        "import sys\n"
+        "from repro.parallel import CellSpec, run_cells\n"
+        "assert 'numpy' not in sys.modules\n"
+        "[result] = run_cells([CellSpec('mcf', 'ooo', scale=0.05)], jobs=2)\n"
+        "assert result.ok\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    inherits = (sys.version_info < (3, 12)
+                and multiprocessing.get_start_method() == "fork")
+    assert proc.stdout.strip() == str(inherits)
 
 
 def test_worker_is_immune_to_global_rng_state():
