@@ -29,12 +29,13 @@ class CriticalPathConfig:
 
 def node_latency(trace: ExecutionTrace, seq: int, profile: ProfileReport | None) -> float:
     """Latency weight of one dynamic node: table latency, or AMAT for loads."""
-    d = trace[seq]
-    if d.sinst.is_load and profile is not None:
-        stats = profile.loads.get(d.pc)
+    pc = trace.pc[seq]
+    sinst = trace.program.insts[pc]
+    if sinst.is_load and profile is not None:
+        stats = profile.loads.get(pc)
         if stats is not None and stats.execs:
-            return max(stats.amat, float(d.sinst.latency))
-    return float(d.sinst.latency)
+            return max(stats.amat, float(sinst.latency))
+    return float(sinst.latency)
 
 
 def analyze_dag(
@@ -98,6 +99,6 @@ def filter_slice(
         threshold = config.keep_fraction * critical
         for seq, value in through.items():
             if value >= threshold:
-                kept.add(trace[seq].pc)
+                kept.add(trace.pc[seq])
     # Only PCs that were in the (already merged) slice can be tagged.
     return kept & (slice_.pcs | {slice_.root_pc})

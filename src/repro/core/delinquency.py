@@ -88,7 +88,7 @@ def stride_predictability(trace: ExecutionTrace, pc: int, max_samples: int = 256
     stride/stream/BOP prefetchers), ~0 for pointer chases and gathers.
     """
     seqs = trace.pc_index().get(pc, [])[:max_samples]
-    addrs = [trace[s].addr for s in seqs if trace[s].addr >= 0]
+    addrs = [a for a in map(trace.addr.__getitem__, seqs) if a >= 0]
     if len(addrs) < 3:
         return 0.0
     repeats = 0

@@ -109,24 +109,24 @@ def _slice_instance(
     trace: ExecutionTrace, root_seq: int, max_nodes: int
 ) -> tuple[SliceDag, set[int]]:
     """Extract one instance's slice DAG and its static PC set."""
-    root = trace[root_seq]
+    pcs = trace.pc
+    producers = trace.producers
     dag = SliceDag(root_seq, nodes={root_seq})
-    slice_pcs = {root.pc}
+    slice_pcs = {pcs[root_seq]}
     frontier: deque[int] = deque([root_seq])
     while frontier:
         seq = frontier.popleft()
-        d = trace[seq]
-        for producer in d.producers():
-            ancestor = trace[producer]
+        for producer in producers(seq):
             dag.edges.append((producer, seq))
             if producer in dag.nodes:
                 continue
             dag.nodes.add(producer)
-            if ancestor.pc in slice_pcs:
+            ancestor_pc = pcs[producer]
+            if ancestor_pc in slice_pcs:
                 # Rule 1: static instruction already in the slice; keep the
                 # node for DAG completeness but stop recursing.
                 continue
-            slice_pcs.add(ancestor.pc)
+            slice_pcs.add(ancestor_pc)
             if len(dag.nodes) >= max_nodes:
                 frontier.clear()
                 break
@@ -144,7 +144,7 @@ def dynamic_cone_size(trace: ExecutionTrace, root_seq: int, max_nodes: int = 409
     frontier: deque[int] = deque([root_seq])
     while frontier:
         seq = frontier.popleft()
-        for producer in trace[seq].producers():
+        for producer in trace.producers(seq):
             if producer in visited:
                 continue
             visited.add(producer)

@@ -11,19 +11,20 @@ Its output, an :class:`ExecutionTrace`, plays two roles:
    Intel PT with PTWrite for memory dependencies -- Section 3.3).
 
 Dependencies are recorded exactly: for every dynamic instruction we store
-the sequence numbers of the dynamic producers of each register source, and
-for loads additionally the producing store (``mem_src``), which is how
-dependencies flow *through memory* -- e.g. a value spilled to the stack and
-reloaded, the case that defeats register-only hardware IBDA (Figure 3,
-line 31 in the paper).
+a link to the dynamic producer of each register source, and for loads
+additionally to the producing store, which is how dependencies flow
+*through memory* -- e.g. a value spilled to the stack and reloaded, the
+case that defeats register-only hardware IBDA (Figure 3, line 31 in the
+paper). The trace is held as columns that :func:`execute` appends to, one
+entry per dynamic instruction (see :class:`ExecutionTrace`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .instruction import DynInst
 from .opcodes import (
@@ -34,6 +35,14 @@ from .opcodes import (
 )
 from .program import Program
 from .registers import NUM_REGS
+
+#: Fills a producer-link slot past an instruction's arity. A link is the
+#: distance back to its producer, and ``seq - NO_LINK`` is negative at
+#: every position a trace can reach, as for a value that predates it.
+NO_LINK = 1 << 62
+
+#: ``DynInst.taken`` for each byte of the ``taken`` column.
+TAKEN = (None, False, True)
 
 
 class EmulationError(Exception):
@@ -46,61 +55,128 @@ class EmulationLimitError(EmulationError):
 
 @dataclass
 class ExecutionTrace:
-    """The result of functionally executing a program.
+    """The result of functionally executing a program, one column per field.
 
-    ``insts`` is the full dynamic instruction stream in program order.
+    Entry ``seq`` of each column belongs to dynamic instruction ``seq``, in
+    program order:
+
+    * ``pc`` -- its static index (``array('q')``);
+    * ``addr`` -- the effective byte address of a memory op, else -1;
+    * ``taken`` -- 0 for a non-branch, 1 not taken, 2 taken (:data:`TAKEN`);
+    * ``src_dist`` -- three link columns, one per register source in
+      ``reg_srcs`` order; the opcode sets how many an instruction uses,
+      and :data:`NO_LINK` fills the rest;
+    * ``mem_dist`` -- a load's link to the store that produced its value.
+
+    A link is the distance back to its producer, which sits at ``seq -
+    distance``. A negative position means the value predates the trace:
+    the initial registers and memory image, or, in a
+    :class:`~repro.sampling.intervals.TraceSlice`, anything before the
+    slice. So a slice is the same columns cut by array slices.
+
+    ``trace[seq]`` and iteration build a :class:`DynInst` on demand, for
+    tests, diagnostics and the object engine; ``insts`` is the trace
+    itself, for callers of the list of them it once held.
     """
 
     program: Program
-    insts: list[DynInst]
+    pc: array
+    addr: array
+    taken: bytearray
+    src_dist: tuple[array, array, array]
+    mem_dist: array
     final_regs: list[int]
     halted: bool
     exec_counts: dict[int, int] = field(default_factory=dict)
-    # Lazy per-PC index: pc -> positions in ``insts``. Built on the first
-    # per-PC query (one scan) and shared by ``instances_of``,
+    # Lazy per-PC index: pc -> positions in the trace. Built on the first
+    # per-PC query (one pass over ``pc``) and shared by ``instances_of``,
     # ``dynamic_count`` and the slicer, so repeated per-PC queries never
-    # rescan the dynamic stream.
+    # rescan the trace.
     _pc_index: dict[int, list[int]] | None = field(
         default=None, repr=False, compare=False
     )
+    # Lazy per-PC register-source count (see src_arity).
+    _arity: bytes | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def insts(self) -> "ExecutionTrace":
+        """The trace itself: a sequence of :class:`DynInst`."""
+        return self
 
     def __len__(self) -> int:
-        return len(self.insts)
+        return len(self.pc)
 
     def __iter__(self):
-        return iter(self.insts)
+        return map(self.__getitem__, range(len(self.pc)))
 
     def __getitem__(self, seq: int) -> DynInst:
-        return self.insts[seq]
+        """Dynamic instruction ``seq``, built from the columns."""
+        n = len(self.pc)
+        if seq < 0:
+            seq += n
+        if not 0 <= seq < n:
+            raise IndexError(f"trace position {seq} out of range")
+        pc = self.pc[seq]
+        reg_srcs = tuple(
+            p if (p := seq - col[seq]) >= 0 else -1
+            for col in self.src_dist[:self.src_arity()[pc]]
+        )
+        mem_src = seq - self.mem_dist[seq]
+        return DynInst(seq, self.program.insts[pc], self.addr[seq],
+                       TAKEN[self.taken[seq]], reg_srcs,
+                       mem_src if mem_src >= 0 else -1)
+
+    def src_arity(self) -> bytes:
+        """Per static PC, how many register links its instructions fill
+        (the length of their ``reg_srcs``), taken from the opcode."""
+        if self._arity is None:
+            self._arity = bytes(
+                _ARITY[_CODES[s.opcode]] for s in self.program.insts)
+        return self._arity
+
+    def pc_links(self) -> list[tuple[array, ...]]:
+        """Per static PC, the link columns its instructions fill: one per
+        register source, then ``mem_dist`` for a load."""
+        arity = self.src_arity()
+        return [
+            self.src_dist[:arity[pc]] + ((self.mem_dist,) if s.is_load else ())
+            for pc, s in enumerate(self.program.insts)
+        ]
+
+    def producers(self, seq: int) -> tuple[int, ...]:
+        """In-trace producer positions of ``seq``, registers then memory
+        (``trace[seq].producers()`` without building the instruction)."""
+        return tuple(p for col in (*self.src_dist, self.mem_dist)
+                     if (p := seq - col[seq]) >= 0)
+
+    def register_producers(self, seq: int) -> tuple[int, ...]:
+        """In-trace register producer positions of ``seq`` (what IBDA sees)."""
+        return tuple(p for col in self.src_dist if (p := seq - col[seq]) >= 0)
 
     def pc_index(self) -> dict[int, list[int]]:
         """The per-PC position index, built lazily on first use.
 
-        Positions are read from each instruction's ``seq``, which equals its
-        position in every trace :func:`execute` and
-        :func:`~repro.sampling.intervals.slice_trace` produce; the index
-        then shares the trace's own int objects instead of allocating one
-        per entry.
+        Keys come in first-execution order, and each PC's positions in
+        trace order.
         """
         if self._pc_index is None:
-            index: dict[int, list[int]] = {}
-            for d in self.insts:
-                index.setdefault(d.pc, []).append(d.seq)
-            self._pc_index = index
+            index: defaultdict[int, list[int]] = defaultdict(list)
+            for seq, pc in enumerate(self.pc):
+                index[pc].append(seq)
+            self._pc_index = dict(index)
         return self._pc_index
 
     def dynamic_count(self, pc: int) -> int:
         """Number of times static instruction ``pc`` executed."""
         if self.exec_counts:
             return self.exec_counts.get(pc, 0)
-        # Hand-built traces (tests) may omit exec_counts; fall back to the
-        # same lazy index instances_of uses.
+        # Slices carry no exec_counts; fall back to the same lazy index
+        # instances_of uses.
         return len(self.pc_index().get(pc, ()))
 
     def instances_of(self, pc: int) -> list[DynInst]:
         """All dynamic instances of static instruction ``pc`` (in order)."""
-        insts = self.insts
-        return [insts[pos] for pos in self.pc_index().get(pc, ())]
+        return [self[pos] for pos in self.pc_index().get(pc, ())]
 
     def pc_after(self, seq: int) -> int:
         """Static PC of the instruction that follows position ``seq``.
@@ -109,7 +185,7 @@ class ExecutionTrace:
         :class:`~repro.sampling.intervals.TraceSlice` overrides this to
         answer for its boundary instruction from the parent trace.
         """
-        return self.insts[seq + 1].pc
+        return self.pc[seq + 1]
 
 
 #: Dispatch codes of the per-PC table :func:`execute` builds, one per
@@ -136,22 +212,26 @@ _CODES = {
     Opcode.HALT: _HALT,
 }
 
-#: A ``DynInst``'s static PC, read at C speed to count executions.
-_static_pc = attrgetter("sinst.idx")
+#: Register sources each dispatch code reads, the length of ``reg_srcs``.
+_ARITY = {
+    _ALU_IMM: 1, _LOAD: 1, _BRANCH: 2, _ALU: 2, _STORE: 2, _MOVI: 0,
+    _MOV: 1, _LOAD_IDX: 2, _STORE_IDX: 3, _PREFETCH: 1, _JMP: 0, _CALL: 0,
+    _RET: 0, _NOP: 0, _HALT: 0,
+}
 
 
 def _dispatch_table(program: Program) -> list[tuple]:
-    """Per-PC ``(code, dst, src1, src2, imm, target, fn, sinst)`` rows.
+    """Per-PC ``(code, dst, src1, src2, imm, target, fn)`` rows.
 
     ``fn`` is the opcode's ALU or branch-condition function, else
     ``None``. One extra ``_OFF_END`` row follows the last PC.
     """
     table = [
         (_CODES[s.opcode], s.dst, s.src1, s.src2, s.imm, s.target,
-         ALU_FUNCTIONS.get(s.opcode) or BRANCH_CONDITIONS.get(s.opcode), s)
+         ALU_FUNCTIONS.get(s.opcode) or BRANCH_CONDITIONS.get(s.opcode))
         for s in program.insts
     ]
-    table.append((_OFF_END, None, None, None, 0, None, None, None))
+    table.append((_OFF_END, None, None, None, 0, None, None))
     return table
 
 
@@ -166,9 +246,10 @@ def execute(
 
     The static program is first lowered, once per call, into a per-PC
     table of a small-int dispatch code, the operands and the ALU or
-    branch function; each dynamic instruction then unpacks its PC's row
-    and branches on the code. ``tests/isa/test_trace_identity.py`` pins
-    every trace this produces, errors included.
+    branch function; each dynamic instruction then unpacks its PC's row,
+    branches on the code and appends one entry to every column.
+    ``tests/isa/test_trace_identity.py`` pins every trace this produces,
+    errors included.
 
     Parameters
     ----------
@@ -190,117 +271,136 @@ def execute(
     stores: dict[int, tuple[int, int]] = {}
     stores_get = stores.get
 
-    # Producer tracking for register dependence links.
-    reg_writer = [-1] * NUM_REGS
+    # Producer tracking for register dependence links. A register no
+    # instruction has written links NO_LINK or further back.
+    reg_writer = [-NO_LINK] * NUM_REGS
 
-    trace: list[DynInst] = []
-    append = trace.append
+    # The columns, and their appends bound once for the loop.
+    pcs, addrs, mems = array("q"), array("q"), array("q")
+    src0, src1s, src2s = array("q"), array("q"), array("q")
+    takens = bytearray()
+    put_pc, put_addr, put_taken = pcs.append, addrs.append, takens.append
+    put_s0, put_s1, put_s2 = src0.append, src1s.append, src2s.append
+    put_mem = mems.append
     call_stack: list[int] = []
     table = _dispatch_table(program)
     pc = 0
     seq = 0
 
     while True:
-        code, dst, src1, src2, imm, target, fn, sinst = table[pc]
+        code, dst, src1, src2, imm, target, fn = table[pc]
         if seq >= max_insts and code != _OFF_END:
             raise EmulationLimitError(
                 f"dynamic instruction limit ({max_insts}) exceeded at pc={pc}"
             )
+        put_pc(pc)
+        # Each branch below sets the fields its opcode has.
+        addr = -1
+        outcome = 0
+        l0 = l1 = l2 = mem = NO_LINK
         if code == _ALU_IMM:
             reg_file[dst] = fn(reg_file[src1], imm)
-            append(DynInst(seq, sinst, -1, None, (reg_writer[src1],)))
+            l0 = seq - reg_writer[src1]
             reg_writer[dst] = seq
             pc += 1
         elif code == _LOAD:
             addr = reg_file[src1] + imm
+            l0 = seq - reg_writer[src1]
             stored = stores_get(addr >> 3)
             if stored is None:
                 reg_file[dst] = image_get(addr >> 3, 0)
-                append(DynInst(seq, sinst, addr, None, (reg_writer[src1],)))
             else:
                 reg_file[dst] = stored[0]
-                append(DynInst(seq, sinst, addr, None, (reg_writer[src1],),
-                               stored[1]))
+                mem = seq - stored[1]
             reg_writer[dst] = seq
             pc += 1
         elif code == _BRANCH:
             taken = fn(reg_file[src1], reg_file[src2])
-            append(DynInst(seq, sinst, -1, taken,
-                           (reg_writer[src1], reg_writer[src2])))
+            outcome = 2 if taken else 1
+            l0 = seq - reg_writer[src1]
+            l1 = seq - reg_writer[src2]
             pc = target if taken else pc + 1
         elif code == _ALU:
             reg_file[dst] = fn(reg_file[src1], reg_file[src2])
-            append(DynInst(seq, sinst, -1, None,
-                           (reg_writer[src1], reg_writer[src2])))
+            l0 = seq - reg_writer[src1]
+            l1 = seq - reg_writer[src2]
             reg_writer[dst] = seq
             pc += 1
         elif code == _STORE:
             addr = reg_file[src1] + imm
             stores[addr >> 3] = (reg_file[dst], seq)
-            append(DynInst(seq, sinst, addr, None,
-                           (reg_writer[src1], reg_writer[dst])))
+            l0 = seq - reg_writer[src1]
+            l1 = seq - reg_writer[dst]
             pc += 1
         elif code == _MOVI:
             reg_file[dst] = imm
-            append(DynInst(seq, sinst))
             reg_writer[dst] = seq
             pc += 1
         elif code == _MOV:
             reg_file[dst] = reg_file[src1]
-            append(DynInst(seq, sinst, -1, None, (reg_writer[src1],)))
+            l0 = seq - reg_writer[src1]
             reg_writer[dst] = seq
             pc += 1
         elif code == _LOAD_IDX:
             addr = reg_file[src1] + imm
             addr += reg_file[src2]
-            reg_srcs = (reg_writer[src1], reg_writer[src2])
+            l0 = seq - reg_writer[src1]
+            l1 = seq - reg_writer[src2]
             stored = stores_get(addr >> 3)
             if stored is None:
                 reg_file[dst] = image_get(addr >> 3, 0)
-                append(DynInst(seq, sinst, addr, None, reg_srcs))
             else:
                 reg_file[dst] = stored[0]
-                append(DynInst(seq, sinst, addr, None, reg_srcs, stored[1]))
+                mem = seq - stored[1]
             reg_writer[dst] = seq
             pc += 1
         elif code == _STORE_IDX:
             addr = reg_file[src1] + imm
             addr += reg_file[src2]
             stores[addr >> 3] = (reg_file[dst], seq)
-            append(DynInst(seq, sinst, addr, None, (
-                reg_writer[src1], reg_writer[src2], reg_writer[dst])))
+            l0 = seq - reg_writer[src1]
+            l1 = seq - reg_writer[src2]
+            l2 = seq - reg_writer[dst]
             pc += 1
         elif code == _PREFETCH:
-            append(DynInst(seq, sinst, reg_file[src1] + imm, None,
-                           (reg_writer[src1],)))
+            addr = reg_file[src1] + imm
+            l0 = seq - reg_writer[src1]
             pc += 1
         elif code == _JMP:
-            append(DynInst(seq, sinst, -1, True))
+            outcome = 2
             pc = target
         elif code == _CALL:
-            append(DynInst(seq, sinst, -1, True))
+            outcome = 2
             call_stack.append(pc + 1)
             pc = target
         elif code == _RET:
             if not call_stack:
                 raise EmulationError(f"RET with empty call stack at pc={pc}")
-            append(DynInst(seq, sinst, -1, True))
+            outcome = 2
             pc = call_stack.pop()
         elif code == _NOP:
-            append(DynInst(seq, sinst))
             pc += 1
-        elif code == _HALT:
-            append(DynInst(seq, sinst))
-            break
-        else:
+        elif code != _HALT:
             raise EmulationError(f"PC out of range: {pc}")
+        put_addr(addr)
+        put_taken(outcome)
+        put_s0(l0)
+        put_s1(l1)
+        put_s2(l2)
+        put_mem(mem)
+        if code == _HALT:
+            break
         seq += 1
 
     # Counter keys come in first-execution order.
-    exec_counts = dict(Counter(map(_static_pc, trace)))
+    exec_counts = dict(Counter(pcs))
     return ExecutionTrace(
         program=program,
-        insts=trace,
+        pc=pcs,
+        addr=addrs,
+        taken=takens,
+        src_dist=(src0, src1s, src2s),
+        mem_dist=mems,
         final_regs=reg_file,
         halted=True,
         exec_counts=exec_counts,

@@ -11,6 +11,8 @@ content-addressed interval cells of :mod:`repro.sampling.cells`.
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 def block_leaders(program) -> tuple[int, ...]:
     """Static basic-block leader PCs: entry, branch targets, fall-throughs."""
@@ -26,14 +28,7 @@ def block_leaders(program) -> tuple[int, ...]:
 
 def bbv(trace, start: int, end: int, leaders: tuple[int, ...]) -> dict[int, int]:
     """Block-entry counts for trace positions ``[start, end)``."""
-    leader_set = set(leaders)
-    counts: dict[int, int] = {}
-    insts = trace.insts
-    for pos in range(start, end):
-        pc = insts[pos].pc
-        if pc in leader_set:
-            counts[pc] = counts.get(pc, 0) + 1
-    return counts
+    return dict(Counter(filter(set(leaders).__contains__, trace.pc[start:end])))
 
 
 def normalize(vector: dict[int, int]) -> dict[int, float]:

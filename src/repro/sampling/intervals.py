@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..isa.emulator import ExecutionTrace
-from ..isa.instruction import DynInst
 
 #: Default SimPoint interval length (dynamic instructions) when the plan
 #: spells only the cluster count (``simpoint:<k>``).
@@ -67,8 +66,8 @@ class TraceSlice(ExecutionTrace):
 
     def pc_after(self, seq: int) -> int:
         nxt = seq + 1
-        if nxt < len(self.insts):
-            return self.insts[nxt].pc
+        if nxt < len(self.pc):
+            return self.pc[nxt]
         if self.boundary_pc < 0:
             raise IndexError(f"no instruction follows slice position {seq}")
         return self.boundary_pc
@@ -77,39 +76,28 @@ class TraceSlice(ExecutionTrace):
 def slice_trace(trace: ExecutionTrace, start: int, end: int) -> TraceSlice:
     """Extract positions ``[start, end)`` of ``trace`` as a TraceSlice.
 
-    Dynamic instructions are copied with sequence numbers rebased to the
-    slice; producer links pointing before the slice are remapped to ``-1``
-    (value predates the slice), which the pipeline already treats as
-    "complete before the window" — the same convention a full trace uses
-    for the initial machine state.
+    Every column is cut with an array slice, so positions rebase to the
+    slice with no per-instruction work: a producer link is a distance
+    back, and one that reaches before the slice lands on a negative
+    position, which reads as "value predates the slice" (``-1`` in a
+    built ``DynInst``) -- the convention a full trace uses for the
+    initial machine state, and one the pipeline treats as complete.
     """
-    n = len(trace.insts)
+    n = len(trace)
     if not 0 <= start < end <= n:
         raise ValueError(f"slice [{start}, {end}) outside trace of {n} insts")
-    insts = trace.insts
-    sliced: list[DynInst] = []
-    for pos in range(start, end):
-        d = insts[pos]
-        reg_srcs = tuple(s - start if s >= start else -1 for s in d.reg_srcs)
-        mem_src = d.mem_src - start if d.mem_src >= start else -1
-        sliced.append(
-            DynInst(
-                pos - start,
-                d.sinst,
-                addr=d.addr,
-                taken=d.taken,
-                reg_srcs=reg_srcs,
-                mem_src=mem_src,
-            )
-        )
     return TraceSlice(
         program=trace.program,
-        insts=sliced,
+        pc=trace.pc[start:end],
+        addr=trace.addr[start:end],
+        taken=trace.taken[start:end],
+        src_dist=tuple(col[start:end] for col in trace.src_dist),
+        mem_dist=trace.mem_dist[start:end],
         final_regs=trace.final_regs,
         halted=trace.halted and end == n,
         start=start,
         end=end,
-        boundary_pc=insts[end].pc if end < n else -1,
+        boundary_pc=trace.pc[end] if end < n else -1,
     )
 
 

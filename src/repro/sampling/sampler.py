@@ -46,9 +46,9 @@ def simulate_interval(
     config, critical, ibda = resolve_mode(mode, config, critical_pcs)
     trace = workload.trace()
     start, end = interval
-    if not 0 <= start < end <= len(trace.insts):
+    if not 0 <= start < end <= len(trace):
         raise ValueError(
-            f"interval [{start}, {end}) outside trace of {len(trace.insts)} insts"
+            f"interval [{start}, {end}) outside trace of {len(trace)} insts"
         )
     if warmed is None and start > 0:
         warmed = FunctionalWarmer(trace.program, config, critical_pcs=critical)
@@ -74,7 +74,7 @@ def simulate_interval(
 def plan_for_trace(plan: SamplingPlan, trace) -> list[Interval]:
     """Materialise a plan's detailed intervals for one concrete trace."""
     if plan.policy == "smarts":
-        return systematic_intervals(len(trace.insts), plan.detail, plan.period)
+        return systematic_intervals(len(trace), plan.detail, plan.period)
     if plan.policy == "simpoint":
         return simpoint_intervals(trace, plan.clusters, plan.interval)
     raise ValueError(f"cannot plan intervals for policy {plan.policy!r}")
@@ -126,5 +126,5 @@ def simulate_sampled(
             engine=engine,
         ).stats
     return estimate_from_intervals(
-        intervals, interval_stats, len(trace.insts), policy=plan.policy
+        intervals, interval_stats, len(trace), policy=plan.policy
     )

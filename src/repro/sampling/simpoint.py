@@ -42,7 +42,7 @@ def pick_representatives(
 
 def simpoint_intervals(trace, k: int, interval_size: int) -> list[Interval]:
     """Plan SimPoint intervals for ``trace``: partition, cluster, select."""
-    bounds = partition(len(trace.insts), interval_size)
+    bounds = partition(len(trace), interval_size)
     leaders = block_leaders(trace.program)
     vectors = [normalize(bbv(trace, s, e, leaders)) for s, e in bounds]
     picks = pick_representatives(vectors, k)

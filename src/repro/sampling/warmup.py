@@ -85,10 +85,11 @@ class FunctionalWarmer:
     def warm(self, trace, start: int = 0, end: int | None = None) -> None:
         """Functionally apply trace positions ``[start, end)``.
 
-        Each dynamic instruction reads its PC's row of the table the
-        constructor built from the warmer's layout: code address, i-line
-        probe (one line, or a pair when the encoding straddles two) and
-        the access and branch kinds of
+        The walk reads the trace's ``pc``, ``addr``, ``taken`` and
+        ``mem_dist`` columns in place. Each dynamic instruction reads its
+        PC's row of the table the constructor built from the warmer's
+        layout: code address, i-line probe (one line, or a pair when the
+        encoding straddles two) and the access and branch kinds of
         :meth:`~repro.isa.program.Program.pc_kinds`, the classification
         the array engine's decode uses; nothing is decoded per dynamic
         instruction ahead of the walk. TAGE, BTB and RAS train inline in
@@ -100,8 +101,11 @@ class FunctionalWarmer:
         walk through those calls, which ``tests/sampling/test_warmup.py``
         keeps as the reference.
         """
-        insts = trace.insts
-        n = len(insts)
+        pc_a = trace.pc
+        addr_a = trace.addr
+        taken_a = trace.taken
+        mem_dist = trace.mem_dist
+        n = len(pc_a)
         if end is None:
             end = n
         hier = self.hierarchy
@@ -128,9 +132,8 @@ class FunctionalWarmer:
         now = self.clock
         last_line = self._last_line
         for pos in range(start, end):
-            d = insts[pos]
             now += CLOCK_STRIDE
-            pc = d.sinst.idx
+            pc = pc_a[pos]
             pc_addr, probe, access, branch = rows[pc]
             # Instruction side: same per-line probing as pipeline fetch.
             if probe != last_line:
@@ -152,7 +155,7 @@ class FunctionalWarmer:
                     hier_ifetch(line, now)
             if branch:  # no branch accesses data
                 if branch == 1:  # conditional
-                    taken = d.taken
+                    taken = taken_a[pos] == 2
                     predicted = predict(pc_addr, taken)
                     update(pc_addr, taken)
                     # A mispredict or a correct not-taken leaves the BTB be.
@@ -168,19 +171,19 @@ class FunctionalWarmer:
                 nxt = pos + 1
                 btb_lookup(pc_addr)
                 btb_update(pc_addr, addrs[
-                    insts[nxt].sinst.idx if nxt < n else trace.pc_after(pos)
+                    pc_a[nxt] if nxt < n else trace.pc_after(pos)
                 ])
                 continue
             if access:
+                ad = addr_a[pos]
                 if access == 3:  # software prefetch
-                    hier.software_prefetch(pc_addr, d.addr, now)
+                    hier.software_prefetch(pc_addr, ad, now)
                     continue
                 # Loads with an in-trace producing store are assumed
                 # store-forwarded (the overwhelmingly common detailed-sim
                 # outcome) and do not touch the hierarchy.
-                if access == 1 and d.mem_src >= 0:
+                if access == 1 and mem_dist[pos] <= pos:
                     continue
-                ad = d.addr
                 line = ad - (ad % line_bytes)
                 cset = l1d_sets[(line // line_bytes) % l1d_nsets]
                 if now < hier._next_fill and line in cset:

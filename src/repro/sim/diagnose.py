@@ -104,7 +104,7 @@ def diagnose(
             ready = pipeline.ready_times.get(seq)
             if ready is None:
                 continue
-            pc = trace[seq].pc
+            pc = trace.pc[seq]
             for label, pcs in pc_groups.items():
                 if pc in pcs:
                     run.groups[label].add(issue - ready)

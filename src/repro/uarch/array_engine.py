@@ -8,9 +8,10 @@ done set, ``Scheduler`` tuple heaps, ``LoadStoreQueues`` sets, per-access
 ``DynInst`` attribute chains), the array engine runs the hot loop over
 preallocated flat tables indexed by sequence number:
 
-* one **batched decode pass** lowers the whole trace into parallel arrays
-  (PC, effective address, FU class, latency, load/store/branch flags,
-  producer tuples, code-layout addresses and i-cache line probes),
+* one **batched decode pass** spreads per-PC tables (FU class, latency,
+  load/store/branch flags, code-layout addresses and i-cache line probes)
+  over the trace's ``pc`` column; PCs, effective addresses, branch
+  outcomes and producer links are read from the trace's own columns,
 * one **batched branch-prediction pass** replays TAGE/BTB/RAS for every
   branch in trace order before timing starts (fetch consults predictors
   strictly in trace order, so the outcome stream is a pure function of the
@@ -70,30 +71,30 @@ class ArrayPipeline(Pipeline):
     # -- batched decode ------------------------------------------------------
 
     def _decode_tables(self):
-        """Lower the trace into parallel per-seq arrays.
+        """Spread per-PC tables over the trace's ``pc`` column.
 
         Static properties (FU class, latency, layout address, i-cache line
         probes, ...) are first tabulated per *static* instruction — the
         program is tiny next to the dynamic trace — and then broadcast to
-        per-seq arrays with C-speed ``map``/comprehension passes, so the
-        per-dynamic-instruction Python work is a couple of list lookups.
+        per-seq tables with C-speed ``map`` passes over the ``pc`` column.
+        Addresses, branch outcomes and producer links are the trace's own
+        columns, read in place.
 
-        The layout-independent arrays are a pure function of the (immutable)
+        The layout-independent tables are a pure function of the (immutable)
         trace, so they are memoized on it — runs over one trace, such as
         the cells of one ``run_cells`` input group, decode it once.
-        Layout-dependent arrays (addresses, line probes, code sizes shift
+        Layout-dependent tables (addresses, line probes, code sizes shift
         with the annotation prefixes) are rebuilt per run.
         """
         trace = self.trace
-        insts = trace.insts
-        n = len(insts)
+        pc_a = trace.pc
+        n = len(pc_a)
         shared = getattr(trace, "_soa_shared", None)
         if shared is None:
             shared = self._decode_shared(trace)
             trace._soa_shared = shared
-        (pc_a, addr_a, mem_src_a, fu_a, lat_a, flags_a, kind_a, isload_a,
-         isstore_a, brkind_a, producers_a, maxprod_a, cload_a,
-         cstore_a) = shared
+        (fu_a, lat_a, flags_a, kind_a, isload_a, isstore_a, brkind_a,
+         links_a, cload_a, cstore_a) = shared
 
         # Layout-dependent tables (annotation prefixes move addresses).
         layout = self.layout
@@ -120,34 +121,21 @@ class ArrayPipeline(Pipeline):
         # so they are packed machine words, not one int object per seq.
         csize_a = array("q", accumulate(map(sizes.__getitem__, pc_a)))
 
-        if self.ibda is None:
-            critical = self.critical_pcs
-            if critical:
-                crit_b = bytearray(1 if pc in critical else 0 for pc in pc_a)
-            else:
-                crit_b = bytearray(n)
-            regprod_a = None
+        critical = self.critical_pcs
+        if self.ibda is None and critical:
+            crit_b = bytearray(map(critical.__contains__, pc_a))
         else:
             # Hardware IBDA marks at dispatch from LLC-miss history, which
-            # is timing-dependent — criticality stays dynamic; only the
-            # (static) register-producer PC tuples are precomputed.
+            # is timing-dependent — criticality stays dynamic.
             crit_b = bytearray(n)
-            regprod_a = getattr(trace, "_soa_regprod", None)
-            if regprod_a is None:
-                regprod_a = [
-                    tuple(insts[p].sinst.idx for p in d.register_producers())
-                    for d in insts
-                ]
-                trace._soa_regprod = regprod_a
-        return (pc_a, addr_a, mem_src_a, fu_a, lat_a, la_a, probes_a,
-                ftq_line_a, run_end_a, producers_a, flags_a, kind_a,
-                isload_a, isstore_a, brkind_a, crit_b, regprod_a, csize_a,
-                cload_a, cstore_a, maxprod_a)
+        return (pc_a, trace.addr, fu_a, lat_a, la_a, probes_a, ftq_line_a,
+                run_end_a, links_a, flags_a, kind_a, isload_a, isstore_a,
+                brkind_a, crit_b, csize_a, cload_a, cstore_a)
 
     @staticmethod
     def _decode_shared(trace):
-        """The layout-independent per-seq arrays (memoized per trace)."""
-        insts = trace.insts
+        """The layout-independent per-seq tables (memoized per trace)."""
+        pc_a = trace.pc
         statics = trace.program.insts
 
         # Per-PC (static) tables, one short pass over the program.
@@ -178,36 +166,17 @@ class ArrayPipeline(Pipeline):
                 f |= 8
             flags_pc.append(f)
 
-        # Broadcast to per-seq arrays (bulk passes over the dynamic trace).
-        pc_a = [d.sinst.idx for d in insts]
-        addr_a = [d.addr for d in insts]
-        mem_src_a = [d.mem_src for d in insts]
-        # DynInst.producers() inlined: registers filtered to in-trace links
-        # (the only negative link value is -1), then the memory producer.
-        # The common case — no pre-trace links, no memory producer — reuses
-        # the existing reg_srcs tuple without allocating.
-        producers_a: list = []
-        maxprod_a: list[int] = []
-        prod_append = producers_a.append
-        maxp_append = maxprod_a.append
-        for d in insts:
-            prod = d.reg_srcs
-            if -1 in prod:
-                prod = tuple(s for s in prod if s >= 0)
-            ms = d.mem_src
-            if ms >= 0:
-                prod = prod + (ms,)
-            prod_append(prod)
-            # Newest producer per seq: once it has retired, every producer
-            # has completed and the dependence scan can be skipped.
-            maxp_append(max(prod) if prod else -1)
-        fu_a = list(map(fu_pc.__getitem__, pc_a))
-        lat_a = list(map(lat_pc.__getitem__, pc_a))
+        # Broadcast to per-seq tables (C-speed passes over the pc column).
+        fu_a = bytearray(map(fu_pc.__getitem__, pc_a))
+        lat_a = bytearray(map(lat_pc.__getitem__, pc_a))
         flags_a = bytearray(map(flags_pc.__getitem__, pc_a))
         kind_a = bytearray(map(kind_pc.__getitem__, pc_a))
         isload_a = bytearray(map(isload_pc.__getitem__, pc_a))
         isstore_a = bytearray(map(isstore_pc.__getitem__, pc_a))
         brkind_a = bytearray(map(brkind_pc.__getitem__, pc_a))
+        # The link columns each seq's dispatch reads: its PC's tuple, one
+        # shared object per PC, so dispatch skips the unused slots.
+        links_a = list(map(trace.pc_links().__getitem__, pc_a))
         # Allocation and retirement are both in order, so load/store buffer
         # occupancy is a difference of prefix counts (loads/stores among
         # seqs < i) — no per-dispatch/per-retire counter updates.
@@ -215,9 +184,8 @@ class ArrayPipeline(Pipeline):
         cload_a.extend(accumulate(isload_a))
         cstore_a = array("q", [0])
         cstore_a.extend(accumulate(isstore_a))
-        return (pc_a, addr_a, mem_src_a, fu_a, lat_a, flags_a, kind_a,
-                isload_a, isstore_a, brkind_a, producers_a, maxprod_a,
-                cload_a, cstore_a)
+        return (fu_a, lat_a, flags_a, kind_a, isload_a, isstore_a, brkind_a,
+                links_a, cload_a, cstore_a)
 
     # -- batched branch prediction -------------------------------------------
 
@@ -235,7 +203,7 @@ class ArrayPipeline(Pipeline):
         non-branches are skipped at C speed.
         """
         trace = self.trace
-        insts = trace.insts
+        taken_a = trace.taken
         pc_after = trace.pc_after
         addresses = self.layout.addresses
         predictor = self.predictor
@@ -243,13 +211,13 @@ class ArrayPipeline(Pipeline):
         btb = self.btb
         ras = self.ras
         stats = self.stats
-        n = len(insts)
+        n = len(taken_a)
         out = bytearray(n)
         for seq in compress(range(n), brkind_a):
             kind = brkind_a[seq]
             pc_addr = addresses[pc_a[seq]]
             if kind == 1:  # conditional
-                taken = insts[seq].taken
+                taken = taken_a[seq] == 2
                 stats.cond_branches += 1
                 pc_branch = stats.branch_stats(pc_a[seq])
                 pc_branch.execs += 1
@@ -370,7 +338,7 @@ class ArrayPipeline(Pipeline):
         :meth:`Pipeline.cycles` for the lockstep ordering contract."""
         cfg = self.config
         stats = self.stats
-        n = len(self.trace.insts)
+        n = len(self.trace)
         watchdog = self.watchdog
         if max_cycles is None:
             max_cycles = watchdog.max_cycles
@@ -381,10 +349,11 @@ class ArrayPipeline(Pipeline):
         checker = self.invariants
         next_audit = checker.interval if checker is not None else 0
 
-        (pc_a, addr_a, mem_src_a, fu_a, lat_a, la_a, probes_a,
-         ftq_line_a, run_end_a, producers_a, flags_a, kind_a, isload_a,
-         isstore_a, brkind_a, crit_b, regprod_a, csize_a, cload_a,
-         cstore_a, maxprod_a) = self._decode_tables()
+        (pc_a, addr_a, fu_a, lat_a, la_a, probes_a, ftq_line_a, run_end_a,
+         links_a, flags_a, kind_a, isload_a, isstore_a, brkind_a, crit_b,
+         csize_a, cload_a, cstore_a) = self._decode_tables()
+        src_dist = self.trace.src_dist
+        mem_dist = self.trace.mem_dist
         outcome_a = self._batch_predict(pc_a, brkind_a)
 
         # Hot-path locals (method/attribute lookups hoisted out of the loop).
@@ -647,7 +616,7 @@ class ArrayPipeline(Pipeline):
                                 rec = load_pc_rows[pc] = [0, 0, 0, 0, 0, 0, 0]
                             rec[0] += 1
                             loads_ct += 1
-                            ms = mem_src_a[seq]
+                            ms = seq - mem_dist[seq]
                             if ms >= retired and isstore_a[ms]:
                                 completion = now + fwd_latency
                                 forwards_ct += 1
@@ -770,9 +739,10 @@ class ArrayPipeline(Pipeline):
                         heappush(events, now * stride + stride + seq)
                         continue
                     if ibda is not None:
-                        crit = 1 if ibda.on_dispatch(
-                            pc_a[seq], bool(f & 2), regprod_a[seq]
-                        ) else 0
+                        crit = 1 if ibda.on_dispatch(pc_a[seq], bool(f & 2), tuple(
+                            pc_a[p] for col in src_dist
+                            if (p := seq - col[seq]) >= 0
+                        )) else 0
                         crit_b[seq] = crit
                         rpacked_a[seq] = (seq << 1) | crit
                         rheap_a[seq] = heaps[fu_a[seq]][
@@ -786,18 +756,12 @@ class ArrayPipeline(Pipeline):
                     rs_used += 1
                     if record_timing:
                         dispatch_times[seq] = now
-                    if maxprod_a[seq] < retired:
-                        # Newest producer already retired: ready now, no
-                        # dependence scan needed.
-                        heappush(rheap_a[seq], rpacked_a[seq])
-                        ready_size += 1
-                        if record_timing:
-                            ready_times[seq] = now
-                        continue
                     remaining = 0
-                    for p in producers_a[seq]:
+                    for col in links_a[seq]:
                         # Retirement is in order, so every seq < `retired`
-                        # has completed; the scoreboard covers the rest.
+                        # has completed (a link from before the trace lands
+                        # on a negative seq); the scoreboard covers the rest.
+                        p = seq - col[seq]
                         if p >= retired and not done_b[p]:
                             wl = waiters_a[p]
                             if wl is None:

@@ -235,7 +235,8 @@ class Pipeline:
 
     def _is_critical(self, d) -> bool:
         if self.ibda is not None:
-            producer_pcs = tuple(self.trace[p].pc for p in d.register_producers())
+            pcs = self.trace.pc
+            producer_pcs = tuple(pcs[p] for p in d.register_producers())
             return self.ibda.on_dispatch(d.pc, d.sinst.is_load, producer_pcs)
         return d.pc in self.critical_pcs
 
@@ -266,7 +267,9 @@ class Pipeline:
         every shared-memory access in nondecreasing global time order.
         """
         trace = self.trace
-        insts = trace.insts
+        # The trace's instructions, built once from its columns: the loop
+        # reads each several times.
+        insts = list(trace)
         n = len(insts)
         cfg = self.config
         stats = self.stats

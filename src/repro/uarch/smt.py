@@ -126,7 +126,9 @@ class SmtPipeline:
             max_cycles = SMT_DEFAULT_MAX_CYCLES
         livelock_limit = watchdog.livelock_cycles
         last_progress = 0
-        n = [len(t) for t in self.traces]
+        # Each thread's instructions, built once from its trace's columns.
+        insts = [list(t) for t in self.traces]
+        n = [len(t) for t in insts]
         fetch_seq = [0, 0]
         fetch_blocked = [0, 0]
         pending_redirect: list[int | None] = [None, None]
@@ -205,7 +207,7 @@ class SmtPipeline:
                     # Mitigation: reserve slots for non-critical work.
                     deferred.append((key, age, tid, t_seq))
                     continue
-                d = self.traces[tid][t_seq]
+                d = insts[tid][t_seq]
                 fu = d.sinst.fu
                 if budget.get(fu, 0) <= 0:
                     deferred.append((key, age, tid, t_seq))
@@ -219,7 +221,7 @@ class SmtPipeline:
             for item in deferred:
                 heapq.heappush(ready, item)
             for tid, t_seq in picked:
-                d = self.traces[tid][t_seq]
+                d = insts[tid][t_seq]
                 sinst = d.sinst
                 rs_used -= 1
                 if sinst.is_load:
@@ -241,7 +243,7 @@ class SmtPipeline:
                 queue = decode_queue[tid]
                 while queue and width:
                     t_seq = queue[0]
-                    d = self.traces[tid][t_seq]
+                    d = insts[tid][t_seq]
                     needs_rs = d.sinst.fu is not FuClass.NONE
                     if len(rob[tid]) >= rob_capacity:
                         break
@@ -282,7 +284,7 @@ class SmtPipeline:
                     and fetched < cfg.fetch_width
                     and len(decode_queue[tid]) < cfg.decode_queue
                 ):
-                    d = self.traces[tid][fetch_seq[tid]]
+                    d = insts[tid][fetch_seq[tid]]
                     decode_queue[tid].append(fetch_seq[tid])
                     fetch_seq[tid] += 1
                     fetched += 1

@@ -116,11 +116,12 @@ def _mark_miss_candidates(trace: ExecutionTrace) -> list[bool]:
     """Per-position flag: load to a line outside the recency window."""
     recent: OrderedDict[int, None] = OrderedDict()
     flags = [False] * len(trace)
-    for pos, dyn in enumerate(trace.insts):
-        if dyn.addr < 0:
+    is_load = [inst.is_load for inst in trace.program]
+    for pos, (pc, addr) in enumerate(zip(trace.pc, trace.addr)):
+        if addr < 0:
             continue
-        line = dyn.addr >> LINE_SHIFT
-        if dyn.sinst.is_load and line not in recent:
+        line = addr >> LINE_SHIFT
+        if is_load[pc] and line not in recent:
             flags[pos] = True
         recent[line] = None
         recent.move_to_end(line)
@@ -138,10 +139,9 @@ def _segment_depth_and_roots(
     max_depth = 0
     roots = 0
     for pos in range(start, end):
-        dyn = trace.insts[pos]
         d = 0
         anc = False
-        for producer in dyn.producers():
+        for producer in trace.producers(pos):
             if producer < start:
                 continue
             d = max(d, depth.get(producer, 0))
@@ -159,20 +159,19 @@ def _segment_depth_and_roots(
 
 def _slice_length_of(trace: ExecutionTrace, pos: int) -> int | None:
     """ALU ops along the max-producer path back to the nearest load."""
-    dyn = trace.insts[pos]
-    producers = [s for s in dyn.reg_srcs if s >= 0]
+    producers = trace.register_producers(pos)
     if not producers:
         return None
     cursor = max(producers)
     count = 0
     for _ in range(MAX_SLICE_WALK):
-        inst = trace.insts[cursor]
-        if inst.sinst.is_load:
+        inst = trace.program[trace.pc[cursor]]
+        if inst.is_load:
             return count
-        op = inst.sinst.opcode
+        op = inst.opcode
         if op in ALU_FUNCTIONS or op is Opcode.MOV:
             count += 1
-        producers = [s for s in inst.reg_srcs if s >= 0]
+        producers = trace.register_producers(cursor)
         if not producers:
             return None
         cursor = max(producers)
@@ -194,14 +193,16 @@ def measure_trace(trace: ExecutionTrace) -> MeasuredProperties:
     outcome_counts: dict[int, list[int]] = {}
     lines: set[int] = set()
     loads = 0
-    for dyn in trace.insts:
-        if dyn.addr >= 0:
-            lines.add(dyn.addr >> LINE_SHIFT)
-            if dyn.sinst.is_load:
+    is_load = [inst.is_load for inst in trace.program]
+    is_cond = [inst.is_cond_branch for inst in trace.program]
+    for pc, addr, outcome in zip(trace.pc, trace.addr, trace.taken):
+        if addr >= 0:
+            lines.add(addr >> LINE_SHIFT)
+            if is_load[pc]:
                 loads += 1
-        if dyn.sinst.is_cond_branch:
-            taken, total = outcome_counts.setdefault(dyn.pc, [0, 0])
-            outcome_counts[dyn.pc] = [taken + (1 if dyn.taken else 0), total + 1]
+        if is_cond[pc]:
+            taken, total = outcome_counts.setdefault(pc, [0, 0])
+            outcome_counts[pc] = [taken + (outcome == 2), total + 1]
     entropy = 0.0
     for taken, total in outcome_counts.values():
         if total >= MIN_BRANCH_SAMPLES:
